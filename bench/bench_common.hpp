@@ -1,9 +1,14 @@
 // Shared helpers for the paper-reproduction benchmark binaries.
 //
-// All reported times are *simulated*: OMP16/OMP28 from the calibrated CPU
-// model of the paper's OpenMP implementation, GPU-DIMx from the simulated
-// K40 device (see DESIGN.md, "Substitutions"). The computations behind them
-// are real — every DP table is actually solved and verified.
+// Two kinds of time pass through here, and they are not interchangeable:
+//  * time_shape's ShapeTiming is *simulated*: OMP16/OMP28 from the
+//    calibrated CPU model of the paper's OpenMP implementation, GPU-DIMx
+//    from the simulated K40 device (see DESIGN.md, "Substitutions"). The
+//    computations behind them are real — every DP table is actually solved
+//    and verified.
+//  * JsonRecord::ns, the --json trajectory field, is host wall time.
+//    bench_shard is the one exception: its records still carry charged
+//    simulated device time in `ns`.
 #pragma once
 
 #include <cstdint>

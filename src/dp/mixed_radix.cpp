@@ -29,14 +29,42 @@ std::uint64_t MixedRadix::flatten(std::span<const std::int64_t> v) const {
   return index;
 }
 
+namespace {
+
+/// Calls digit(i, v_i) for every coordinate of `index`, dividing in
+/// `Word`; every stride and the index must fit in Word.
+template <typename Word, typename Digit>
+void for_each_digit_in(std::uint64_t index,
+                       const std::vector<std::uint64_t>& strides,
+                       Digit& digit) {
+  auto rest = static_cast<Word>(index);
+  for (std::size_t i = 0; i < strides.size(); ++i) {
+    const auto stride = static_cast<Word>(strides[i]);
+    digit(i, static_cast<std::int64_t>(rest / stride));
+    rest %= stride;
+  }
+}
+
+/// for_each_digit_in on 32-bit words whenever the table has fewer than 2^32
+/// cells: a 32-bit division is several times cheaper than a 64-bit one, and
+/// no stride exceeds the table size.
+template <typename Digit>
+void for_each_digit(std::uint64_t index, std::uint64_t size,
+                    const std::vector<std::uint64_t>& strides, Digit digit) {
+  if (size <= 0xFFFFFFFFull)
+    for_each_digit_in<std::uint32_t>(index, strides, digit);
+  else
+    for_each_digit_in<std::uint64_t>(index, strides, digit);
+}
+
+}  // namespace
+
 void MixedRadix::unflatten(std::uint64_t index,
                            std::span<std::int64_t> out) const {
   PCMAX_EXPECTS(index < size_);
   PCMAX_EXPECTS(out.size() == extents_.size());
-  for (std::size_t i = 0; i < extents_.size(); ++i) {
-    out[i] = static_cast<std::int64_t>(index / strides_[i]);
-    index %= strides_[i];
-  }
+  for_each_digit(index, size_, strides_,
+                 [&](std::size_t i, std::int64_t x) { out[i] = x; });
 }
 
 std::vector<std::int64_t> MixedRadix::unflatten(std::uint64_t index) const {
@@ -48,10 +76,8 @@ std::vector<std::int64_t> MixedRadix::unflatten(std::uint64_t index) const {
 std::int64_t MixedRadix::level_of(std::uint64_t index) const {
   PCMAX_EXPECTS(index < size_);
   std::int64_t level = 0;
-  for (std::size_t i = 0; i < extents_.size(); ++i) {
-    level += static_cast<std::int64_t>(index / strides_[i]);
-    index %= strides_[i];
-  }
+  for_each_digit(index, size_, strides_,
+                 [&](std::size_t, std::int64_t x) { level += x; });
   return level;
 }
 

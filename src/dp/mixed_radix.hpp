@@ -32,7 +32,9 @@ class MixedRadix {
   /// Row-major flat index of a coordinate vector (must be in range).
   [[nodiscard]] std::uint64_t flatten(std::span<const std::int64_t> v) const;
 
-  /// Inverse of flatten; writes dims() coordinates into `out`.
+  /// Inverse of flatten; writes dims() coordinates into `out`. Like
+  /// level_of, it divides in 32 bits when size() <= 2^32 - 1 and in 64 bits
+  /// above that.
   void unflatten(std::uint64_t index, std::span<std::int64_t> out) const;
 
   /// Convenience overload allocating the coordinate vector.

@@ -1,13 +1,51 @@
 #include "dp/solver.hpp"
 
+#include <algorithm>
+
 #include <omp.h>
 
 #include "faultsim/injector.hpp"
+#include "obs/metrics.hpp"
 #include "util/contracts.hpp"
 
 namespace pcmax::dp {
 
 namespace {
+
+/// Equation (1) for one cell, narrowed first by its unit-vector neighbours
+/// n_j = T[v - e_j], which lie one level down and are final. OPT is
+/// monotone and every e_j is a configuration, so
+///   max_j n_j <= OPT(v) <= min_j n_j + 1.
+/// When the neighbours differ the cell is their maximum; when they all equal
+/// L the cell is L exactly if some fitting configuration s has
+/// T[v - s] = L - 1, and L + 1 otherwise. Requires every class with a
+/// nonzero count to fit the capacity on its own. Returns the cell's value
+/// and adds 1 to `scans` when it had to scan configurations.
+std::int32_t sandwiched_cell(const ConfigSet& configs,
+                             std::span<const std::uint64_t> strides,
+                             std::span<const std::int64_t> v,
+                             std::int64_t level, std::uint64_t id,
+                             std::span<const std::int32_t> table,
+                             std::uint64_t& scans) noexcept {
+  std::int32_t low = 0;
+  std::int32_t high = kInfeasible;
+  for (std::size_t j = 0; j < v.size(); ++j) {
+    if (v[j] == 0) continue;
+    const std::int32_t n = table[id - strides[j]];
+    low = std::max(low, n);
+    high = std::min(high, n);
+  }
+  if (low > high) return low;
+  // All neighbours equal `low`; the level floor may already rule out `low`.
+  if (level_floor_best(level, configs.max_level_drop()) >= low) return low + 1;
+  ++scans;
+  bool reached = false;
+  configs.for_each_fitting(v, level, [&](std::size_t c) noexcept {
+    reached = table[id - configs.delta(c)] < low;
+    return !reached;
+  });
+  return reached ? low : low + 1;
+}
 
 /// Shared per-solve context so the three solvers differ only in their
 /// iteration strategy.
@@ -15,6 +53,9 @@ struct SolveContext {
   MixedRadix radix;
   ConfigSet configs;
   DpResult result;
+  /// Whether fill_cell may use sandwiched_cell: no dependency counts are
+  /// wanted and every class with jobs fits the capacity on its own.
+  bool sandwich = true;
 
   SolveContext(const DpProblem& problem, const SolveOptions& options)
       : radix(problem.radix()),
@@ -27,6 +68,33 @@ struct SolveContext {
     result.table[0] = 0;
     if (options.collect_deps) result.deps.assign(radix.size(), 0);
     result.config_count = configs.size();
+    sandwich = !options.collect_deps;
+    for (std::size_t j = 0; j < problem.counts.size(); ++j)
+      if (problem.counts[j] > 0 && problem.weights[j] > problem.capacity)
+        sandwich = false;
+  }
+
+  /// The cell kernel of the level solvers: the neighbour sandwich when it
+  /// applies, the plain Equation (1) scan otherwise. Adds 1 to `scans` for
+  /// every cell that scanned configurations.
+  void fill_cell(std::span<const std::int64_t> v, std::int64_t level,
+                 std::uint64_t id, std::uint64_t& scans) noexcept {
+    if (sandwich) {
+      result.table[id] = sandwiched_cell(configs, radix.strides(), v, level,
+                                         id, result.table, scans);
+      return;
+    }
+    ++scans;
+    result.table[id] =
+        solve_cell(configs, v, level, id, result.table,
+                   result.deps.empty() ? nullptr : &result.deps[id]);
+  }
+
+  /// Reports how the level solvers filled the table; once per solve, never
+  /// from the cell loop.
+  void count_cells(std::uint64_t scans) const {
+    obs::count("dp.cells_scanned", scans);
+    obs::count("dp.cells_bounded", radix.size() - 1 - scans);
   }
 
   void finish() {
@@ -95,9 +163,10 @@ DpResult LevelScanSolver::solve(const DpProblem& problem,
 
   // Algorithm 2, lines 10-25: one sequential pass per anti-diagonal level,
   // each pass scanning the entire table in parallel.
+  std::uint64_t scans = 0;
   for (std::int64_t level = 1; level <= levels; ++level) {
 #pragma omp parallel for num_threads(threads) schedule(static) \
-    firstprivate(level)
+    firstprivate(level) reduction(+ : scans)
     for (std::int64_t signed_id = 1;
          signed_id < static_cast<std::int64_t>(size); ++signed_id) {
       const auto id = static_cast<std::uint64_t>(signed_id);
@@ -107,12 +176,10 @@ DpResult LevelScanSolver::solve(const DpProblem& problem,
       std::int64_t d = 0;
       for (const auto x : v) d += x;
       if (d != level) continue;
-      std::uint32_t* deps =
-          options.collect_deps ? &ctx.result.deps[id] : nullptr;
-      ctx.result.table[id] =
-          solve_cell(ctx.configs, v, level, id, ctx.result.table, deps);
+      ctx.fill_cell(v, level, id, scans);
     }
   }
+  ctx.count_cells(scans);
   ctx.finish();
   return ctx.result;
 }
@@ -123,21 +190,21 @@ DpResult LevelBucketSolver::solve(const DpProblem& problem,
   const LevelBuckets buckets(ctx.radix);
   const int threads = resolve_threads(options);
 
+  std::uint64_t scans = 0;
   for (std::int64_t level = 1; level < buckets.levels(); ++level) {
     const auto cells = buckets.cells_at(level);
-#pragma omp parallel for num_threads(threads) schedule(dynamic, 64)
+#pragma omp parallel for num_threads(threads) schedule(dynamic, 64) \
+    reduction(+ : scans)
     for (std::int64_t i = 0; i < static_cast<std::int64_t>(cells.size());
          ++i) {
       const std::uint64_t id = cells[static_cast<std::size_t>(i)];
       std::int64_t coords[64];
       std::span<std::int64_t> v(coords, ctx.radix.dims());
       ctx.radix.unflatten(id, v);
-      std::uint32_t* deps =
-          options.collect_deps ? &ctx.result.deps[id] : nullptr;
-      ctx.result.table[id] =
-          solve_cell(ctx.configs, v, level, id, ctx.result.table, deps);
+      ctx.fill_cell(v, level, id, scans);
     }
   }
+  ctx.count_cells(scans);
   ctx.finish();
   return ctx.result;
 }

@@ -89,13 +89,19 @@ class LevelBucketSolver final : public DpSolver {
   [[nodiscard]] std::string name() const override { return "level-bucket"; }
 };
 
-/// Computes one cell's OPT given the already-filled prefix of the table.
-/// Shared by every solver so they cannot diverge on the recurrence itself.
+/// Computes one cell's OPT given the already-filled prefix of the table by
+/// the plain Equation (1) scan over every fitting configuration.
 /// `level` must be the cell's anti-diagonal level (coordinate sum of `v`).
 /// Returns the OPT value for the cell and (optionally) counts dependencies.
 /// When dep_count is null the scan stops early once the cell provably
 /// reached its level lower bound ceil(level / max_level_drop); with
 /// dep_count set every fitting configuration is visited so |C_v| is exact.
+/// ReferenceSolver always uses it. LevelScanSolver and LevelBucketSolver use
+/// it only when collecting dependencies or when some class with jobs is
+/// heavier than the capacity; otherwise they first bound the cell by its
+/// unit-vector neighbours, max_j T[v - e_j] <= OPT(v) <= min_j T[v - e_j] + 1,
+/// and scan only when all neighbours are equal (docs/PERFORMANCE.md, §5).
+/// Both paths give the same value for every cell.
 [[nodiscard]] std::int32_t solve_cell(const ConfigSet& configs,
                                       std::span<const std::int64_t> v,
                                       std::int64_t level, std::uint64_t id,
@@ -105,7 +111,9 @@ class LevelBucketSolver final : public DpSolver {
 /// The smallest value `best` (the minimum over sub-configuration OPTs) can
 /// take for a cell at `level`: every machine removes at most max_drop jobs,
 /// so the cell's final value best + 1 is at least ceil(level / max_drop).
-/// Exposed for the engines that run their own reduction loop over
+/// solve_cell stops its scan there; the level solvers' neighbour bound uses
+/// it to settle a cell whose equal neighbours all sit at this floor without
+/// scanning. Exposed for the engines that run their own reduction loop over
 /// ConfigSet::for_each_fitting (blocked, frontier, executable GPU).
 [[nodiscard]] constexpr std::int32_t level_floor_best(
     std::int64_t level, std::int64_t max_drop) noexcept {

@@ -123,5 +123,48 @@ INSTANTIATE_TEST_SUITE_P(
                       std::vector<std::int64_t>{5, 6, 3, 7, 6, 4, 8, 3},
                       std::vector<std::int64_t>{3, 10, 7, 6, 4, 8, 10}));
 
+// Radixes around the 32-bit division cut-over: unflatten and level_of divide
+// in 32 bits up to size 2^32 - 1 and in 64 bits from 2^32 on. No table is
+// allocated; the ids probe every stride boundary and the extreme cells.
+class MixedRadixWidthParam
+    : public ::testing::TestWithParam<std::vector<std::int64_t>> {};
+
+TEST_P(MixedRadixWidthParam, RoundTripAcrossDivisionWidths) {
+  const MixedRadix r(GetParam());
+  std::vector<std::uint64_t> ids{0, 1, r.size() / 2, r.size() - 2,
+                                 r.size() - 1};
+  for (const std::uint64_t stride : r.strides())
+    for (const std::uint64_t id : {stride - 1, stride, stride + 1})
+      if (id < r.size()) ids.push_back(id);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (int i = 0; i < 200; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    ids.push_back(x % r.size());
+  }
+  for (const std::uint64_t id : ids) {
+    const auto v = r.unflatten(id);
+    ASSERT_TRUE(r.contains(v)) << id;
+    EXPECT_EQ(r.flatten(v), id);
+    EXPECT_EQ(r.level_of(id),
+              std::accumulate(v.begin(), v.end(), std::int64_t{0}));
+  }
+  const auto last = r.unflatten(r.size() - 1);
+  EXPECT_EQ(std::accumulate(last.begin(), last.end(), std::int64_t{0}),
+            r.max_level());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DivisionWidths, MixedRadixWidthParam,
+    ::testing::Values(
+        std::vector<std::int64_t>{65535, 65537},            // 2^32 - 1
+        std::vector<std::int64_t>{3, 5, 17, 257, 65537},    // 2^32 - 1
+        std::vector<std::int64_t>{65536, 65536},            // 2^32
+        std::vector<std::int64_t>{1, 65536, 65536},         // stride 2^32
+        std::vector<std::int64_t>{1 << 20, 1 << 20},        // 2^40
+        std::vector<std::int64_t>{1024, 1024, 1024, 1024},  // 2^40
+        std::vector<std::int64_t>{16, 16, 16, 16, 16, 16, 16, 16, 16, 16}));
+
 }  // namespace
 }  // namespace pcmax::dp

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <numeric>
 
+#include "obs/session.hpp"
 #include "util/checked_math.hpp"
 #include "util/rng.hpp"
 
@@ -189,6 +191,121 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomCase{7, 5}, RandomCase{8, 5}, RandomCase{9, 6},
                       RandomCase{10, 6}, RandomCase{11, 7},
                       RandomCase{12, 8}));
+
+// A random problem of up to 8 classes whose table stays small enough for the
+// BFS oracle. It includes zero counts, d = 1, and in about one case in six a
+// class heavier than the capacity.
+DpProblem random_problem(std::uint64_t seed) {
+  util::Rng rng(seed);
+  const auto d = static_cast<std::size_t>(rng.uniform(1, 8));
+  const std::int64_t max_count = d <= 4 ? 4 : d <= 6 ? 3 : 2;
+  DpProblem p;
+  p.capacity = rng.uniform(4, 20);
+  for (std::size_t i = 0; i < d; ++i) {
+    p.counts.push_back(rng.uniform(0, max_count));
+    p.weights.push_back(rng.uniform(1, p.capacity));
+  }
+  if (rng.uniform(0, 5) == 0)
+    p.weights[static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(d) - 1))] =
+        p.capacity + rng.uniform(1, 5);
+  return p;
+}
+
+bool every_class_fits(const DpProblem& p) {
+  for (std::size_t j = 0; j < p.counts.size(); ++j)
+    if (p.counts[j] > 0 && p.weights[j] > p.capacity) return false;
+  return true;
+}
+
+TEST(SolverProperties, NeighbourSandwichAndOracleAgreement) {
+  int sandwiched = 0, overweight = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const DpProblem p = random_problem(seed);
+    const auto oracle = bfs_oracle(p);
+    ASSERT_EQ(ReferenceSolver().solve(p).table, oracle);
+    for (const int threads : {1, 2, 4}) {
+      SolveOptions options;
+      options.num_threads = threads;
+      ASSERT_EQ(LevelBucketSolver().solve(p, options).table, oracle)
+          << threads << " threads";
+      ASSERT_EQ(LevelScanSolver().solve(p, options).table, oracle)
+          << threads << " threads";
+    }
+    if (!every_class_fits(p)) {
+      ++overweight;
+      continue;
+    }
+    ++sandwiched;
+    // max_j T[v - e_j] <= T[v] <= min_j T[v - e_j] + 1 on every cell.
+    const MixedRadix radix = p.radix();
+    for (std::uint64_t id = 1; id < radix.size(); ++id) {
+      const auto v = radix.unflatten(id);
+      std::int32_t low = 0, high = kInfeasible;
+      for (std::size_t j = 0; j < v.size(); ++j) {
+        if (v[j] == 0) continue;
+        const std::int32_t n = oracle[id - radix.strides()[j]];
+        low = std::max(low, n);
+        high = std::min(high, n);
+      }
+      ASSERT_LE(low, oracle[id]) << "cell " << id;
+      ASSERT_LE(oracle[id], high + 1) << "cell " << id;
+    }
+  }
+  // Both sides of the fallback were drawn.
+  EXPECT_GT(sandwiched, 100);
+  EXPECT_GT(overweight, 10);
+}
+
+std::uint64_t counter_after_bucket_solve(const DpProblem& p,
+                                         std::string_view name) {
+  obs::ObsSession session;
+  (void)LevelBucketSolver().solve(p);
+  return session.metrics().counter(name);
+}
+
+TEST(SolverProperties, CellCountersSplitTheTable) {
+  const DpProblem p = ptas_like_problem();
+  obs::ObsSession session;
+  (void)LevelBucketSolver().solve(p);
+  (void)LevelScanSolver().solve(p);
+  const std::uint64_t bounded = session.metrics().counter("dp.cells_bounded");
+  const std::uint64_t scanned = session.metrics().counter("dp.cells_scanned");
+  EXPECT_GT(bounded, 0u);
+  EXPECT_GT(scanned, 0u);
+  EXPECT_EQ(bounded + scanned, 2 * (p.table_size() - 1));
+}
+
+TEST(SolverProperties, OverweightClassFallsBackToThePlainScan) {
+  // Class 1 (weight 20) cannot go on any machine: e_1 is no configuration,
+  // so the neighbour upper bound does not hold and every cell scans.
+  const DpProblem p{{2, 1, 3}, {3, 20, 5}, 16};
+  const auto oracle = bfs_oracle(p);
+  EXPECT_EQ(LevelBucketSolver().solve(p).table, oracle);
+  EXPECT_EQ(LevelScanSolver().solve(p).table, oracle);
+  EXPECT_EQ(oracle.back(), kInfeasible);
+  EXPECT_EQ(counter_after_bucket_solve(p, "dp.cells_bounded"), 0u);
+  EXPECT_EQ(counter_after_bucket_solve(p, "dp.cells_scanned"),
+            p.table_size() - 1);
+  // With no jobs in the heavy class the bound applies again.
+  const DpProblem empty_heavy{{2, 0, 3}, {3, 20, 5}, 16};
+  EXPECT_EQ(LevelBucketSolver().solve(empty_heavy).table,
+            bfs_oracle(empty_heavy));
+  EXPECT_GT(counter_after_bucket_solve(empty_heavy, "dp.cells_bounded"), 0u);
+}
+
+TEST(SolverProperties, CollectingDepsScansEveryCell) {
+  const DpProblem p = ptas_like_problem();
+  SolveOptions options;
+  options.collect_deps = true;
+  obs::ObsSession session;
+  const auto bucket = LevelBucketSolver().solve(p, options);
+  EXPECT_EQ(bucket.deps, ReferenceSolver().solve(p, options).deps);
+  EXPECT_EQ(session.metrics().counter("dp.cells_bounded"), 0u);
+  EXPECT_EQ(session.metrics().counter("dp.cells_scanned"),
+            p.table_size() - 1);
+}
 
 TEST(Solvers, RejectInvalidProblem) {
   DpProblem bad;
