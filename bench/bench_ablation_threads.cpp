@@ -24,16 +24,14 @@ int main() {
                           std::uint64_t{362880}}) {
     const auto shape = workload::paper_shapes_for_size(size).front();
     const auto problem = workload::dp_problem_for_extents(shape.extents);
-    dp::SolveOptions options;
-    options.collect_deps = true;
-    const auto result = dp::LevelBucketSolver().solve(problem, options);
+    const auto deps = dp::dependency_counts(problem);
 
     std::vector<std::string> row{std::to_string(size)};
     double t1 = 0.0, t28 = 0.0;
     for (const int threads : thread_counts) {
       CpuModelParams params;
       params.threads = threads;
-      const double ms = estimate_openmp_dp_time(problem, result, params).ms();
+      const double ms = estimate_openmp_dp_time(problem, deps, params).ms();
       if (threads == 1) t1 = ms;
       if (threads == 28) t28 = ms;
       row.push_back(fmt_ms(ms));

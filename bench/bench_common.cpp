@@ -16,17 +16,15 @@ ShapeTiming time_shape(const workload::TableShape& shape,
   const dp::DpProblem problem =
       workload::dp_problem_for_extents(shape.extents);
 
-  dp::SolveOptions options;
-  options.collect_deps = true;
-  const dp::DpResult reference =
-      dp::LevelBucketSolver().solve(problem, options);
+  const dp::DpResult reference = dp::LevelBucketSolver().solve(problem);
+  const std::vector<std::uint32_t> deps = dp::dependency_counts(problem);
 
   CpuModelParams m16;
   m16.threads = 16;
   CpuModelParams m28;
   m28.threads = 28;
-  timing.omp16_ms = estimate_openmp_dp_time(problem, reference, m16).ms();
-  timing.omp28_ms = estimate_openmp_dp_time(problem, reference, m28).ms();
+  timing.omp16_ms = estimate_openmp_dp_time(problem, deps, m16).ms();
+  timing.omp28_ms = estimate_openmp_dp_time(problem, deps, m28).ms();
 
   for (const auto dims : gpu_dims) {
     gpusim::Device device(gpusim::DeviceSpec::k40());

@@ -176,7 +176,6 @@ void BM_GpuDpSolveDirectDevice(benchmark::State& state) {
   const gpu::GpuDpSolver solver(device, 5);
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.solve(problem).opt);
-    device.clear_log();
   }
 }
 BENCHMARK(BM_GpuDpSolveDirectDevice);
@@ -187,7 +186,6 @@ void BM_GpuDpSolveTopologyOneDevice(benchmark::State& state) {
   const gpu::GpuDpSolver solver(topology, 5);
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.solve(problem).opt);
-    topology.device(0).clear_log();
   }
 }
 BENCHMARK(BM_GpuDpSolveTopologyOneDevice);

@@ -38,13 +38,12 @@ class ModeledOmpSolver final : public dp::DpSolver {
   using DpSolver::solve;
   dp::DpResult solve(const dp::DpProblem& problem,
                      const dp::SolveOptions& options) const override {
-    dp::SolveOptions with_deps = options;
-    with_deps.collect_deps = true;
-    dp::DpResult result = dp::LevelBucketSolver().solve(problem, with_deps);
+    dp::DpResult result = dp::LevelBucketSolver().solve(problem, options);
     CpuModelParams params;
     params.threads = threads_;
-    total_ms_ += estimate_openmp_dp_time(problem, result, params).ms();
-    if (!options.collect_deps) result.deps.clear();
+    total_ms_ +=
+        estimate_openmp_dp_time(problem, dp::dependency_counts(problem), params)
+            .ms();
     return result;
   }
   std::string name() const override { return "omp-modeled"; }

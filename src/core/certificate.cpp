@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/bounds.hpp"
+#include "util/checked_math.hpp"
 #include "util/contracts.hpp"
 
 namespace pcmax {
@@ -63,8 +64,8 @@ TieredBound lpt_certificate(const Instance& instance,
   const std::int64_t post_den = c * m;
   const std::int64_t prior_num = 4 * m - 1;
   const std::int64_t prior_den = 3 * m;
-  const auto tighter = static_cast<__int128>(post_num) * prior_den <
-                       static_cast<__int128>(prior_num) * post_den;
+  const auto tighter = static_cast<util::int128>(post_num) * prior_den <
+                       static_cast<util::int128>(prior_num) * post_den;
   if (tighter) {
     bound.bound_num = post_num;
     bound.bound_den = post_den;

@@ -8,12 +8,12 @@
 namespace pcmax {
 
 util::SimTime estimate_openmp_dp_time(const dp::DpProblem& problem,
-                                      const dp::DpResult& result,
+                                      std::span<const std::uint32_t> deps,
                                       const CpuModelParams& params) {
   problem.validate();
   PCMAX_EXPECTS(params.threads >= 1);
   const dp::MixedRadix radix = problem.radix();
-  PCMAX_EXPECTS(result.deps.size() == radix.size());
+  PCMAX_EXPECTS(deps.size() == radix.size());
 
   const dp::LevelBuckets buckets(radix);
   const auto sigma = static_cast<double>(radix.size());
@@ -29,9 +29,10 @@ util::SimTime estimate_openmp_dp_time(const dp::DpProblem& problem,
     const auto cells = buckets.cells_at(level);
     double cell_ns = 0.0;  // work parallelized across the level's cells
     for (const auto id : cells) {
-      const double deps = result.deps[id];
-      cell_ns += deps * dims * params.enum_ns;             // enumerate C_v
-      cell_ns += deps * (sigma / 2.0) * params.search_ns;  // locate each dep
+      // Enumerate C_v, then locate each dependency in the table.
+      const double cell_deps = deps[id];
+      cell_ns += cell_deps * dims * params.enum_ns;
+      cell_ns += cell_deps * (sigma / 2.0) * params.search_ns;
     }
     // The per-level table scan splits over all threads; the per-cell work
     // cannot use more threads than the level has cells.

@@ -29,11 +29,10 @@ struct CpuModelParams {
   double barrier_us = 5.0;
 };
 
-/// Estimated wall time of the OpenMP Algorithm 2 on `problem`, given a
-/// solved result carrying per-cell dependency counts (DpResult::deps — run
-/// the solver with SolveOptions::collect_deps).
+/// Estimated wall time of the OpenMP Algorithm 2 on `problem`, given its
+/// per-cell dependency counts (dp::dependency_counts).
 [[nodiscard]] util::SimTime estimate_openmp_dp_time(
-    const dp::DpProblem& problem, const dp::DpResult& result,
+    const dp::DpProblem& problem, std::span<const std::uint32_t> deps,
     const CpuModelParams& params = {});
 
 }  // namespace pcmax

@@ -1,8 +1,8 @@
 // Solver interface for the higher-dimensional DP. Several interchangeable
 // implementations exist (reference oracle, Algorithm-2 level scan, bucketed
 // OpenMP, blocked/partitioned, GPU-simulated); all must produce identical
-// tables. Solvers optionally collect per-cell dependency counts, which drive
-// the deterministic CPU/GPU cost models.
+// tables. The per-cell dependency counts that drive the deterministic
+// CPU/GPU cost models come from dependency_counts, not from a solve.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +21,6 @@ inline constexpr std::int32_t kInfeasible =
     std::numeric_limits<std::int32_t>::max();
 
 struct SolveOptions {
-  /// Record per-cell dependency counts |C_v| in DpResult::deps.
-  bool collect_deps = false;
   /// OpenMP thread count; 0 uses the runtime default.
   int num_threads = 0;
 };
@@ -32,10 +30,6 @@ struct DpResult {
   std::int32_t opt = kInfeasible;
   /// Full DP table, row-major; table.back() == opt.
   std::vector<std::int32_t> table;
-  /// Per-cell |C_v| (valid sub-configuration count); empty unless
-  /// SolveOptions::collect_deps was set. deps[0] corresponds to cell 0,
-  /// whose value is its |C_v| even though the origin's OPT is fixed to 0.
-  std::vector<std::uint32_t> deps;
   /// |C|: size of the global configuration set.
   std::uint64_t config_count = 0;
 };
@@ -89,29 +83,29 @@ class LevelBucketSolver final : public DpSolver {
   [[nodiscard]] std::string name() const override { return "level-bucket"; }
 };
 
-/// Computes one cell's OPT given the already-filled prefix of the table by
-/// the plain Equation (1) scan over every fitting configuration.
-/// `level` must be the cell's anti-diagonal level (coordinate sum of `v`).
-/// Returns the OPT value for the cell and (optionally) counts dependencies.
-/// When dep_count is null the scan stops early once the cell provably
-/// reached its level lower bound ceil(level / max_level_drop); with
-/// dep_count set every fitting configuration is visited so |C_v| is exact.
-/// ReferenceSolver always uses it. LevelScanSolver and LevelBucketSolver use
-/// it only when collecting dependencies or when some class with jobs is
-/// heavier than the capacity; otherwise they first bound the cell by its
-/// unit-vector neighbours, max_j T[v - e_j] <= OPT(v) <= min_j T[v - e_j] + 1,
-/// and scan only when all neighbours are equal (docs/PERFORMANCE.md, §5).
-/// Both paths give the same value for every cell.
-[[nodiscard]] std::int32_t solve_cell(const ConfigSet& configs,
-                                      std::span<const std::int64_t> v,
-                                      std::int64_t level, std::uint64_t id,
-                                      std::span<const std::int32_t> table,
-                                      std::uint32_t* dep_count) noexcept;
+/// LevelBucketSolver's fill over `configs`, the configuration set the
+/// caller enumerated for `problem`, on `num_threads` threads (0: the OpenMP
+/// default; 1: the calling thread alone, no OpenMP team). Unlike
+/// DpSolver::solve it hits no fault site: gpu::GpuDpSolver places
+/// host-alloc before its device calls and dp-finalize after them.
+[[nodiscard]] DpResult fill_level_buckets(const DpProblem& problem,
+                                          const ConfigSet& configs,
+                                          int num_threads);
+
+/// |C_v| = #{s in C : s <= v} for every cell v, row-major: the
+/// configurations Equation (1) reduces over at v, which the GPU and OpenMP
+/// cost models charge. Table values take no part, so it is the
+/// d-dimensional prefix sum of C's indicator: one scatter pass plus one
+/// running-sum pass per dimension. `configs` must be `problem`'s set.
+[[nodiscard]] std::vector<std::uint32_t> dependency_counts(
+    const DpProblem& problem, const ConfigSet& configs);
+[[nodiscard]] std::vector<std::uint32_t> dependency_counts(
+    const DpProblem& problem);
 
 /// The smallest value `best` (the minimum over sub-configuration OPTs) can
 /// take for a cell at `level`: every machine removes at most max_drop jobs,
 /// so the cell's final value best + 1 is at least ceil(level / max_drop).
-/// solve_cell stops its scan there; the level solvers' neighbour bound uses
+/// The plain scan stops there; the level solvers' neighbour bound uses
 /// it to settle a cell whose equal neighbours all sit at this floor without
 /// scanning. Exposed for the engines that run their own reduction loop over
 /// ConfigSet::for_each_fitting (blocked, frontier, executable GPU).

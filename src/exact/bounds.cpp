@@ -5,6 +5,7 @@
 
 #include "baselines/heuristics.hpp"
 #include "core/bounds.hpp"
+#include "util/checked_math.hpp"
 #include "util/contracts.hpp"
 
 namespace pcmax::exact {
@@ -17,9 +18,8 @@ namespace {
 /// search "prove" wrong optima.
 std::int64_t ceil_mul_div(std::int64_t a, std::int64_t b, std::int64_t c) {
   PCMAX_EXPECTS(a >= 0 && b >= 0 && c > 0);
-  const auto num = static_cast<unsigned __int128>(a) *
-                   static_cast<unsigned __int128>(b);
-  const auto den = static_cast<unsigned __int128>(c);
+  const auto num = static_cast<util::int128>(a) * static_cast<util::int128>(b);
+  const auto den = static_cast<util::int128>(c);
   return static_cast<std::int64_t>((num + den - 1) / den);
 }
 
@@ -80,10 +80,10 @@ std::int64_t completion_lower_bound_sorted(
   for (std::size_t k = 1; k <= m; ++k) {
     prefix += sorted[k - 1];
     const auto level = static_cast<std::int64_t>(
-        (static_cast<unsigned __int128>(remaining) +
-         static_cast<unsigned __int128>(prefix) +
-         static_cast<unsigned __int128>(k) - 1) /
-        k);
+        (static_cast<util::int128>(remaining) +
+         static_cast<util::int128>(prefix) + static_cast<util::int128>(k) -
+         1) /
+        static_cast<util::int128>(k));
     if (level < sorted[k - 1]) continue;  // level below this segment
     if (k < m && level > sorted[k]) continue;  // next machine joins first
     return std::max(max_load, level);

@@ -21,7 +21,9 @@ namespace pcmax::gpu {
 struct ExecutableReport {
   /// The solved DP (table in row-major order, like every other engine).
   dp::DpResult result;
-  /// Work measured by executing the kernels with access tracing.
+  /// Work measured by executing the kernels with access tracing, read from
+  /// the device's kernel log: zero unless the caller enabled
+  /// Device::set_kernel_log before the run.
   gpusim::WorkEstimate measured_find_opt;
   gpusim::WorkEstimate measured_find_valid_sub;
   gpusim::WorkEstimate measured_set_opt;

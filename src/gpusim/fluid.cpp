@@ -20,6 +20,46 @@ struct ActiveTask {
   int rate_sms = 0;           // current allocation
 };
 
+/// Hands the device's SMs to the tasks past their launch latency that
+/// still have work, one SM at a time in stream order, each up to its width.
+/// In closed form: after r full rounds task i holds min(width_i, r), so all
+/// tasks receive that for the largest r with sum_i min(width_i, r) <= SMs,
+/// and the SMs left over go one each to the next tasks (in stream order)
+/// still below their width.
+void water_fill(std::vector<ActiveTask>& active, int capacity) {
+  int widest = 0;
+  for (auto& a : active) {
+    a.rate_sms = 0;
+    if (a.latency_left_ps == 0 && a.work_left_ps > 0)
+      widest = std::max(widest, a.task.width_sms);
+  }
+  const auto granted = [&](int rounds) {
+    std::int64_t total = 0;
+    for (const auto& a : active)
+      if (a.latency_left_ps == 0 && a.work_left_ps > 0)
+        total += std::min(a.task.width_sms, rounds);
+    return total;
+  };
+  int lo = 0;
+  int hi = std::min(widest, capacity);
+  while (lo < hi) {
+    const int mid = lo + (hi - lo + 1) / 2;
+    if (granted(mid) <= capacity)
+      lo = mid;
+    else
+      hi = mid - 1;
+  }
+  auto remaining = static_cast<std::int64_t>(capacity) - granted(lo);
+  for (auto& a : active) {
+    if (a.latency_left_ps > 0 || a.work_left_ps == 0) continue;
+    a.rate_sms = std::min(a.task.width_sms, lo);
+    if (remaining > 0 && a.task.width_sms > lo) {
+      ++a.rate_sms;
+      --remaining;
+    }
+  }
+}
+
 }  // namespace
 
 FluidScheduler::FluidScheduler(int capacity_sms) : capacity_(capacity_sms) {
@@ -39,44 +79,21 @@ void FluidScheduler::submit(const FluidTask& task) {
 util::SimTime FluidScheduler::run(util::SimTime start_at) {
   // Per-stream cursor into the FIFO.
   std::vector<std::size_t> next(queues_.size(), 0);
-  std::vector<ActiveTask> active;  // at most one per stream, sorted by stream
-
-  auto activate_heads = [&](util::SimTime now) {
-    for (std::size_t s = 0; s < queues_.size(); ++s) {
-      const bool has_active =
-          std::any_of(active.begin(), active.end(),
-                      [&](const ActiveTask& a) { return a.stream == s; });
-      if (has_active || next[s] >= queues_[s].size()) continue;
-      const FluidTask& t = queues_[s][next[s]++];
-      active.push_back(ActiveTask{s, t, now, t.latency.ps(), t.work.ps(), 0});
-    }
-    std::sort(active.begin(), active.end(),
-              [](const ActiveTask& a, const ActiveTask& b) {
-                return a.stream < b.stream;
-              });
-  };
-
+  // The head task of every stream with work left, in stream order. A
+  // completed head is replaced in place by its stream's next task, so the
+  // order holds without re-sorting.
+  std::vector<ActiveTask> active;
   util::SimTime now = start_at;
-  util::SimTime last_finish = start_at;
-  activate_heads(now);
+  const auto head = [&](std::size_t s) {
+    const FluidTask& t = queues_[s][next[s]++];
+    return ActiveTask{s, t, now, t.latency.ps(), t.work.ps(), 0};
+  };
+  for (std::size_t s = 0; s < queues_.size(); ++s)
+    if (!queues_[s].empty()) active.push_back(head(s));
 
+  util::SimTime last_finish = start_at;
   while (!active.empty()) {
-    // Water-fill SMs one at a time, in stream order, over tasks whose
-    // latency has elapsed and that still want more.
-    for (auto& a : active) a.rate_sms = 0;
-    int remaining = capacity_;
-    bool progress = true;
-    while (remaining > 0 && progress) {
-      progress = false;
-      for (auto& a : active) {
-        if (remaining == 0) break;
-        if (a.latency_left_ps > 0 || a.work_left_ps == 0) continue;
-        if (a.rate_sms >= a.task.width_sms) continue;
-        ++a.rate_sms;
-        --remaining;
-        progress = true;
-      }
-    }
+    water_fill(active, capacity_);
 
     // Next event: a latency phase ends or an allocated task drains.
     std::int64_t dt = std::numeric_limits<std::int64_t>::max();
@@ -95,7 +112,6 @@ util::SimTime FluidScheduler::run(util::SimTime start_at) {
     PCMAX_ENSURES(dt != std::numeric_limits<std::int64_t>::max());
 
     now += util::SimTime::picoseconds(dt);
-    bool completed_any = false;
     for (auto& a : active) {
       if (a.latency_left_ps > 0) {
         a.latency_left_ps = std::max<std::int64_t>(0, a.latency_left_ps - dt);
@@ -103,23 +119,23 @@ util::SimTime FluidScheduler::run(util::SimTime start_at) {
         a.work_left_ps =
             std::max<std::int64_t>(0, a.work_left_ps - a.rate_sms * dt);
       }
-      if (a.latency_left_ps == 0 && a.work_left_ps == 0) completed_any = true;
     }
 
-    if (completed_any) {
-      std::vector<ActiveTask> still_active;
-      still_active.reserve(active.size());
-      for (auto& a : active) {
-        if (a.latency_left_ps == 0 && a.work_left_ps == 0) {
-          completions_.push_back(FluidCompletion{a.task, a.start, now});
-          last_finish = std::max(last_finish, now);
-        } else {
-          still_active.push_back(a);
-        }
+    // Retire drained heads in stream order and promote each stream's next
+    // task; streams with nothing left drop out.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      ActiveTask& a = active[i];
+      if (a.latency_left_ps == 0 && a.work_left_ps == 0) {
+        completions_.push_back(FluidCompletion{a.task, a.start, now});
+        last_finish = std::max(last_finish, now);
+        if (next[a.stream] == queues_[a.stream].size()) continue;
+        a = head(a.stream);
       }
-      active = std::move(still_active);
-      activate_heads(now);
+      if (kept != i) active[kept] = active[i];
+      ++kept;
     }
+    active.resize(kept);
   }
 
   queues_.clear();

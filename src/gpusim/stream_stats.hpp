@@ -29,8 +29,9 @@ struct DeviceTimeline {
   [[nodiscard]] double concurrency() const noexcept;
 };
 
-/// Summarizes a device's kernel log. Call after synchronize() (pending
-/// kernels have no timing yet).
+/// Summarizes a device's kernel log, which holds only kernels retired after
+/// Device::set_kernel_log(true). Call after synchronize() (pending kernels
+/// have no timing yet).
 [[nodiscard]] DeviceTimeline summarize_streams(const Device& device);
 
 }  // namespace pcmax::gpusim

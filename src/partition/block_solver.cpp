@@ -6,6 +6,7 @@
 
 #include "dp/config.hpp"
 #include "faultsim/injector.hpp"
+#include "partition/blocked_layout.hpp"
 #include "partition/divisor.hpp"
 #include "util/contracts.hpp"
 
@@ -19,17 +20,13 @@ namespace {
 /// which are complete because block-levels are processed in order.
 class BlockWorker {
  public:
-  BlockWorker(const BlockedLayout& layout,
-              const dp::ConfigSet& configs,
+  BlockWorker(const BlockedLayout& layout, const dp::ConfigSet& configs,
               const dp::LevelBuckets& in_block_buckets,
-              std::span<std::int32_t> blocked_table,
-              std::span<std::uint32_t> deps_row_major, BlockObserver* observer)
+              std::span<std::int32_t> blocked_table)
       : layout_(layout),
         configs_(configs),
         in_block_buckets_(in_block_buckets),
-        blocked_table_(blocked_table),
-        deps_row_major_(deps_row_major),
-        observer_(observer) {}
+        blocked_table_(blocked_table) {}
 
   void run(std::uint64_t block_id) {
     const auto dims = layout_.table_radix().dims();
@@ -39,51 +36,31 @@ class BlockWorker {
     const auto& bs = layout_.block().extents();
     const std::uint64_t base = block_id * layout_.cells_per_block();
 
-    std::vector<BlockObserver::CellStat> stats;
     for (std::int64_t lvl = 0; lvl < in_block_buckets_.levels(); ++lvl) {
-      const auto locals = in_block_buckets_.cells_at(lvl);
-      if (observer_ != nullptr) {
-        stats.clear();
-        stats.reserve(locals.size());
-      }
-      for (const auto local_id : locals) {
+      for (const auto local_id : in_block_buckets_.cells_at(lvl)) {
+        if (base + local_id == 0) continue;  // origin is pinned to 0
         layout_.block().unflatten(local_id,
                                   std::span<std::int64_t>(lcoords, dims));
-        std::uint64_t candidates = 1;
+        std::int64_t level = 0;
         for (std::size_t i = 0; i < dims; ++i) {
           cell[i] = bcoords[i] * bs[i] + lcoords[i];
-          candidates *= static_cast<std::uint64_t>(cell[i]) + 1;
+          level += cell[i];
         }
         const std::span<const std::int64_t> v(cell, dims);
-        std::int64_t level = 0;
-        for (std::size_t i = 0; i < dims; ++i) level += cell[i];
-
-        std::uint32_t dep_count = 0;
         std::int32_t best = dp::kInfeasible;
-        if (base + local_id != 0) {  // origin is pinned to 0
-          // Dependency counts feed the deps table and the observer's cost
-          // model, so the early exit is only legal when neither is active.
-          const bool exact = !deps_row_major_.empty() || observer_ != nullptr;
-          const std::int32_t floor_best =
-              dp::level_floor_best(level, configs_.max_level_drop());
-          configs_.for_each_fitting(v, level, [&](std::size_t c) {
-            ++dep_count;
-            const auto s = configs_.config(c);
-            for (std::size_t i = 0; i < dims; ++i) sub[i] = cell[i] - s[i];
-            const std::int32_t val = blocked_table_[layout_.blocked_offset(
-                std::span<const std::int64_t>(sub, dims))];
-            if (val < best) best = val;
-            return exact || best > floor_best;
-          });
-          blocked_table_[base + local_id] =
-              best == dp::kInfeasible ? dp::kInfeasible : best + 1;
-        }
-        if (!deps_row_major_.empty())
-          deps_row_major_[layout_.table_radix().flatten(v)] = dep_count;
-        if (observer_ != nullptr) stats.push_back({candidates, dep_count});
+        const std::int32_t floor_best =
+            dp::level_floor_best(level, configs_.max_level_drop());
+        configs_.for_each_fitting(v, level, [&](std::size_t c) {
+          const auto s = configs_.config(c);
+          for (std::size_t i = 0; i < dims; ++i) sub[i] = cell[i] - s[i];
+          const std::int32_t val = blocked_table_[layout_.blocked_offset(
+              std::span<const std::int64_t>(sub, dims))];
+          if (val < best) best = val;
+          return best > floor_best;
+        });
+        blocked_table_[base + local_id] =
+            best == dp::kInfeasible ? dp::kInfeasible : best + 1;
       }
-      if (observer_ != nullptr)
-        observer_->on_in_block_level(block_id, lvl, stats);
     }
   }
 
@@ -92,8 +69,6 @@ class BlockWorker {
   const dp::ConfigSet& configs_;
   const dp::LevelBuckets& in_block_buckets_;
   std::span<std::int32_t> blocked_table_;
-  std::span<std::uint32_t> deps_row_major_;
-  BlockObserver* observer_;
 };
 
 }  // namespace
@@ -116,32 +91,17 @@ dp::DpResult BlockedSolver::solve(const dp::DpProblem& problem,
   faultsim::check_host_alloc(2 * radix.size() * sizeof(std::int32_t));
   std::vector<std::int32_t> blocked(radix.size(), dp::kInfeasible);
   blocked[0] = 0;
-  if (options.collect_deps || observer_ != nullptr)
-    result.deps.assign(radix.size(), 0);
 
-  if (observer_ != nullptr) observer_->on_solve_begin(layout, configs.size());
-
-  BlockWorker worker(layout, configs, in_block_buckets, blocked, result.deps,
-                     observer_);
+  BlockWorker worker(layout, configs, in_block_buckets, blocked);
   const int threads =
       options.num_threads > 0 ? options.num_threads : omp_get_max_threads();
-
   for (std::int64_t lvl = 0; lvl < block_buckets.levels(); ++lvl) {
     const auto blocks = block_buckets.cells_at(lvl);
-    if (observer_ != nullptr) observer_->on_block_level(lvl, blocks);
-    // The observer sees blocks in deterministic order, so observed runs are
-    // sequential; unobserved runs fan blocks of a level out across threads.
-    if (observer_ != nullptr) {
-      for (const auto block_id : blocks) worker.run(block_id);
-    } else {
 #pragma omp parallel for num_threads(threads) schedule(dynamic, 1)
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(blocks.size());
-           ++i)
-        worker.run(blocks[static_cast<std::size_t>(i)]);
-    }
+    for (std::int64_t i = 0; i < static_cast<std::int64_t>(blocks.size());
+         ++i)
+      worker.run(blocks[static_cast<std::size_t>(i)]);
   }
-
-  if (observer_ != nullptr) observer_->on_solve_end();
 
   // Convert the blocked table back to row-major for the caller.
   result.table.assign(radix.size(), dp::kInfeasible);
@@ -153,7 +113,6 @@ dp::DpResult BlockedSolver::solve(const dp::DpProblem& problem,
   }
   result.opt = result.table.back();
   faultsim::maybe_corrupt_table(result.table, result.opt);
-  if (!options.collect_deps) result.deps.clear();
   return result;
 }
 

@@ -7,46 +7,22 @@
 // levels run sequentially with all cells of a level independent. Dependencies
 // of a cell live either in the same block at a strictly lower in-block level
 // or in a block of a strictly lower block-level, so this order is safe.
+// gpu::GpuDpSolver charges its simulated kernels by walking the same order.
 #pragma once
 
 #include <cstdint>
-#include <span>
+#include <string>
 
 #include "dp/solver.hpp"
-#include "partition/blocked_layout.hpp"
 
 namespace pcmax::partition {
-
-/// Observation hooks used by the GPU engine to charge simulated kernel costs
-/// while the real computation proceeds. Default implementations do nothing.
-class BlockObserver {
- public:
-  struct CellStat {
-    /// prod(v_i + 1): sub-configuration candidates FindValidSub enumerates.
-    std::uint64_t candidates = 0;
-    /// |C_v|: valid dependencies SetOPT reduces over.
-    std::uint32_t deps = 0;
-  };
-
-  virtual ~BlockObserver() = default;
-  virtual void on_solve_begin(const BlockedLayout& /*layout*/,
-                              std::uint64_t /*config_count*/) {}
-  virtual void on_block_level(std::int64_t /*level*/,
-                              std::span<const std::uint64_t> /*blocks*/) {}
-  virtual void on_in_block_level(std::uint64_t /*block_id*/,
-                                 std::int64_t /*in_level*/,
-                                 std::span<const CellStat> /*cells*/) {}
-  virtual void on_solve_end() {}
-};
 
 class BlockedSolver final : public dp::DpSolver {
  public:
   /// `partition_dims` is the number of dimensions the divisor keeps
-  /// (GPU-DIM3 ... GPU-DIM9 in the paper). `observer` may be null; when set
-  /// it receives per-level work statistics during solve().
-  explicit BlockedSolver(std::size_t partition_dims,
-                         BlockObserver* observer = nullptr)
-      : partition_dims_(partition_dims), observer_(observer) {}
+  /// (GPU-DIM3 ... GPU-DIM9 in the paper).
+  explicit BlockedSolver(std::size_t partition_dims)
+      : partition_dims_(partition_dims) {}
 
   using DpSolver::solve;
   [[nodiscard]] dp::DpResult solve(
@@ -62,7 +38,6 @@ class BlockedSolver final : public dp::DpSolver {
 
  private:
   std::size_t partition_dims_;
-  BlockObserver* observer_;
 };
 
 }  // namespace pcmax::partition

@@ -124,6 +124,12 @@ class SolveServer {
     return cache_.get();
   }
 
+  /// The workers' devices (worker i owns device i); null when
+  /// use_gpu_engine is off. Read it only on a quiesced server.
+  [[nodiscard]] const gpusim::Topology* topology() const noexcept {
+    return topology_.get();
+  }
+
  private:
   void worker_main(int index);
   [[nodiscard]] SolveResponse serve_one(PendingRequest& leader,

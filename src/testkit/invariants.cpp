@@ -97,9 +97,6 @@ CheckResult check_dp_table(const dp::DpProblem& problem,
   if (result.table.back() != result.opt)
     return "table.back() = " + std::to_string(result.table.back()) +
            " disagrees with opt = " + std::to_string(result.opt);
-  if (!result.deps.empty() && result.deps.size() != radix.size())
-    return "deps has " + std::to_string(result.deps.size()) +
-           " entries, expected " + std::to_string(radix.size());
 
   std::vector<std::int64_t> v(radix.dims());
   for (std::uint64_t id = 0; id < radix.size(); ++id) {

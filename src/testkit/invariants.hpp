@@ -108,6 +108,7 @@ using CheckResult = std::optional<std::string>;
 /// finish >= start, nothing finishes after the device clock, per-stream
 /// FIFO (kernels on one stream never overlap), and the device clock is at
 /// least every stream's total busy time — charged time >= critical path.
+/// Checks only kernels retired after Device::set_kernel_log(true).
 [[nodiscard]] CheckResult check_device_conservation(
     const gpusim::Device& device);
 

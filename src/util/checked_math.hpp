@@ -9,6 +9,11 @@
 
 namespace pcmax::util {
 
+/// Signed 128-bit integer for exact cross-products and ceilings whose
+/// intermediates can exceed 64 bits. It is a GCC/Clang extension;
+/// `__extension__` keeps -Wpedantic quiet here, once, instead of at every use.
+__extension__ typedef __int128 int128;
+
 /// Thrown when a checked operation would overflow its result type.
 class overflow_error : public std::overflow_error {
  public:

@@ -2,33 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include "dp/config.hpp"
 #include "util/contracts.hpp"
 #include "workload/shapes.hpp"
 
 namespace pcmax {
 namespace {
 
-dp::DpResult solved_with_deps(const dp::DpProblem& p) {
-  dp::SolveOptions options;
-  options.collect_deps = true;
-  return dp::LevelBucketSolver().solve(p, options);
-}
-
 TEST(CpuTimeModel, PositiveForNonTrivialProblem) {
   const auto p = workload::dp_problem_for_extents({5, 5, 4});
-  const auto r = solved_with_deps(p);
-  EXPECT_GT(estimate_openmp_dp_time(p, r), util::SimTime{});
+  EXPECT_GT(estimate_openmp_dp_time(p, dp::dependency_counts(p)),
+            util::SimTime{});
 }
 
 TEST(CpuTimeModel, MoreThreadsIsFaster) {
   const auto p = workload::dp_problem_for_extents({6, 4, 6, 6, 4});
-  const auto r = solved_with_deps(p);
+  const auto deps = dp::dependency_counts(p);
   CpuModelParams p16;
   p16.threads = 16;
   CpuModelParams p28;
   p28.threads = 28;
-  EXPECT_GT(estimate_openmp_dp_time(p, r, p16),
-            estimate_openmp_dp_time(p, r, p28));
+  EXPECT_GT(estimate_openmp_dp_time(p, deps, p16),
+            estimate_openmp_dp_time(p, deps, p28));
 }
 
 TEST(CpuTimeModel, SuperlinearInTableSize) {
@@ -37,34 +32,40 @@ TEST(CpuTimeModel, SuperlinearInTableSize) {
   const auto small = workload::dp_problem_for_extents({6, 4, 6, 6, 4});
   const auto large =
       workload::dp_problem_for_extents({3, 16, 15, 18});  // 12960
-  const auto ts = estimate_openmp_dp_time(small, solved_with_deps(small));
-  const auto tl = estimate_openmp_dp_time(large, solved_with_deps(large));
+  const auto ts = estimate_openmp_dp_time(small, dp::dependency_counts(small));
+  const auto tl = estimate_openmp_dp_time(large, dp::dependency_counts(large));
   EXPECT_GT(tl.ns(), ts.ns() * 5.0);
 }
 
-TEST(CpuTimeModel, DeterministicAcrossSolvers) {
+TEST(CpuTimeModel, MatchesBruteForceDependencyCounts) {
+  // The model reads only |C_v|: counting the fitting configurations of every
+  // cell directly must give the same estimate as the prefix sums.
   const auto p = workload::dp_problem_for_extents({5, 3, 6, 3, 4, 4, 2});
-  dp::SolveOptions options;
-  options.collect_deps = true;
-  const auto a = dp::ReferenceSolver().solve(p, options);
-  const auto b = dp::LevelBucketSolver().solve(p, options);
-  EXPECT_EQ(estimate_openmp_dp_time(p, a), estimate_openmp_dp_time(p, b));
+  const dp::MixedRadix radix = p.radix();
+  const dp::ConfigSet configs(p.counts, p.weights, p.capacity, radix);
+  std::vector<std::uint32_t> brute(radix.size(), 0);
+  for (std::uint64_t id = 0; id < radix.size(); ++id) {
+    const auto v = radix.unflatten(id);
+    for (std::size_t c = 0; c < configs.size(); ++c)
+      brute[id] += configs.fits(c, v) ? 1u : 0u;
+  }
+  EXPECT_EQ(estimate_openmp_dp_time(p, brute),
+            estimate_openmp_dp_time(p, dp::dependency_counts(p)));
 }
 
 TEST(CpuTimeModel, RequiresDeps) {
   const auto p = workload::dp_problem_for_extents({5, 5, 4});
-  const auto r = dp::LevelBucketSolver().solve(p);  // no deps collected
-  EXPECT_THROW((void)estimate_openmp_dp_time(p, r),
+  EXPECT_THROW((void)estimate_openmp_dp_time(p, {}),
                util::contract_violation);
 }
 
 TEST(CpuTimeModel, RejectsBadThreadCount) {
   const auto p = workload::dp_problem_for_extents({5, 5, 4});
-  const auto r = solved_with_deps(p);
   CpuModelParams params;
   params.threads = 0;
-  EXPECT_THROW((void)estimate_openmp_dp_time(p, r, params),
-               util::contract_violation);
+  EXPECT_THROW(
+      (void)estimate_openmp_dp_time(p, dp::dependency_counts(p), params),
+      util::contract_violation);
 }
 
 }  // namespace

@@ -202,7 +202,9 @@ TEST(ProbeCacheConcurrent, RacingAgreeingInsertersNeverCorrupt) {
         for (std::int64_t i = 0; i < 8; ++i) {
           cache.insert(key_for(i), value_for(i));
           const auto hit = cache.lookup(key_for(i));
-          if (hit.has_value()) ASSERT_EQ(*hit, value_for(i));
+          if (hit.has_value()) {
+            ASSERT_EQ(*hit, value_for(i));
+          }
         }
     });
   }

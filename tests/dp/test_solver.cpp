@@ -6,6 +6,7 @@
 #include <deque>
 #include <numeric>
 
+#include "faultsim/injector.hpp"
 #include "obs/session.hpp"
 #include "util/checked_math.hpp"
 #include "util/rng.hpp"
@@ -120,20 +121,60 @@ TEST(ReferenceSolver, MonotoneInCounts) {
   }
 }
 
-TEST(ReferenceSolver, CollectsDeps) {
+TEST(DependencyCounts, OriginUnitAndFullCells) {
   const auto p = ptas_like_problem();
-  SolveOptions opt;
-  opt.collect_deps = true;
-  const auto r = ReferenceSolver().solve(p, opt);
+  const auto deps = dependency_counts(p);
   const MixedRadix radix = p.radix();
-  ASSERT_EQ(r.deps.size(), radix.size());
-  EXPECT_EQ(r.deps[0], 0u);
+  ASSERT_EQ(deps.size(), radix.size());
+  EXPECT_EQ(deps[0], 0u);
   // A cell holding exactly one job of one class has exactly one dependency.
   std::vector<std::int64_t> one(p.counts.size(), 0);
   one[0] = 1;
-  EXPECT_EQ(r.deps[radix.flatten(one)], 1u);
+  EXPECT_EQ(deps[radix.flatten(one)], 1u);
   // The full cell has |C| dependencies (every configuration fits N).
-  EXPECT_EQ(r.deps.back(), r.config_count);
+  EXPECT_EQ(deps.back(), ReferenceSolver().solve(p).config_count);
+}
+
+// |C_v| by definition: every configuration s tested against every cell v.
+std::vector<std::uint32_t> brute_force_counts(const DpProblem& p,
+                                              const ConfigSet& configs) {
+  const MixedRadix radix = p.radix();
+  std::vector<std::uint32_t> counts(radix.size(), 0);
+  std::vector<std::int64_t> v(radix.dims());
+  for (std::uint64_t id = 0; id < radix.size(); ++id) {
+    radix.unflatten(id, v);
+    for (std::size_t c = 0; c < configs.size(); ++c)
+      counts[id] += configs.fits(c, v) ? 1u : 0u;
+  }
+  return counts;
+}
+
+TEST(DependencyCounts, MatchesBruteForceProperty) {
+  // 300 PTAS-shaped problems of up to 7 dimensions and 200 000 cells:
+  // capacity k^2, class weights from k - 1 up (some above the capacity, so
+  // some classes fit no configuration at all).
+  util::Rng rng(2024);
+  std::uint64_t largest = 0;
+  for (int i = 0; i < 300; ++i) {
+    DpProblem p;
+    const std::int64_t k = rng.uniform(2, 4);
+    p.capacity = k * k;
+    const auto dims = static_cast<std::size_t>(rng.uniform(1, 7));
+    std::uint64_t cells = 1;
+    for (std::size_t j = 0; j < dims; ++j) {
+      const std::int64_t room =
+          static_cast<std::int64_t>(200'000 / cells) - 1;
+      p.counts.push_back(rng.uniform(0, std::clamp<std::int64_t>(room, 0, 14)));
+      p.weights.push_back(rng.uniform(k - 1, k * k + 2));
+      cells *= static_cast<std::uint64_t>(p.counts.back() + 1);
+    }
+    const MixedRadix radix = p.radix();
+    const ConfigSet configs(p.counts, p.weights, p.capacity, radix);
+    ASSERT_EQ(dependency_counts(p, configs), brute_force_counts(p, configs))
+        << "problem " << i;
+    largest = std::max(largest, radix.size());
+  }
+  EXPECT_GT(largest, 100'000u);
 }
 
 TEST(Solvers, AgreeOnPtasLikeProblem) {
@@ -295,16 +336,21 @@ TEST(SolverProperties, OverweightClassFallsBackToThePlainScan) {
   EXPECT_GT(counter_after_bucket_solve(empty_heavy, "dp.cells_bounded"), 0u);
 }
 
-TEST(SolverProperties, CollectingDepsScansEveryCell) {
+TEST(FillLevelBuckets, MatchesTheSolverAndTouchesNoFaultSite) {
   const DpProblem p = ptas_like_problem();
-  SolveOptions options;
-  options.collect_deps = true;
-  obs::ObsSession session;
-  const auto bucket = LevelBucketSolver().solve(p, options);
-  EXPECT_EQ(bucket.deps, ReferenceSolver().solve(p, options).deps);
-  EXPECT_EQ(session.metrics().counter("dp.cells_bounded"), 0u);
-  EXPECT_EQ(session.metrics().counter("dp.cells_scanned"),
-            p.table_size() - 1);
+  const MixedRadix radix = p.radix();
+  const ConfigSet configs(p.counts, p.weights, p.capacity, radix);
+  const DpResult expected = LevelBucketSolver().solve(p);
+  // Both sites would fire on their first hit; the fill must hit neither.
+  faultsim::ScopedFaultInjector scoped(
+      *faultsim::parse_fault_plan("seed=1;host-alloc:nth=1;dp-cell:nth=1"));
+  for (const int threads : {1, 2}) {
+    const DpResult filled = fill_level_buckets(p, configs, threads);
+    EXPECT_EQ(filled.table, expected.table) << threads << " threads";
+    EXPECT_EQ(filled.opt, expected.opt);
+    EXPECT_EQ(filled.config_count, expected.config_count);
+  }
+  EXPECT_EQ(scoped.injector().total_fired(), 0u);
 }
 
 TEST(Solvers, RejectInvalidProblem) {

@@ -31,6 +31,7 @@ TEST(ExecutableDp, MatchesReferenceAcrossPartitionDims) {
 
 TEST(ExecutableDp, MeasuredThreadCountsMatchStructure) {
   gpusim::Device device(gpusim::DeviceSpec::k40());
+  device.set_kernel_log(true);  // the measured work comes from the log
   const auto report = run_executable_dp(small_problem(), device, 3);
   const auto sigma = small_problem().table_size();
   // FindOPT runs one thread per cell (padded to warp grids).
@@ -39,11 +40,8 @@ TEST(ExecutableDp, MeasuredThreadCountsMatchStructure) {
   // which strictly exceeds the table size.
   EXPECT_GT(report.measured_find_valid_sub.threads, sigma);
   // SetOPT runs one thread per dependency.
-  dp::SolveOptions opt;
-  opt.collect_deps = true;
-  const auto ref = dp::ReferenceSolver().solve(small_problem(), opt);
   std::uint64_t total_deps = 0;
-  for (const auto d : ref.deps) total_deps += d;
+  for (const auto d : dp::dependency_counts(small_problem())) total_deps += d;
   EXPECT_GE(report.measured_set_opt.threads, total_deps);
 }
 
@@ -52,6 +50,7 @@ TEST(ExecutableDp, AnalyticChargesTrackMeasuredTraffic) {
   // an order of magnitude on transactions for the dominant kernel (SetOPT)
   // and on total thread ops.
   gpusim::Device device(gpusim::DeviceSpec::k40());
+  device.set_kernel_log(true);  // the measured work comes from the log
   const auto p = workload::dp_problem_for_extents({4, 3, 4, 3});
   const auto report = run_executable_dp(p, device, 3);
 

@@ -40,6 +40,7 @@ TEST(DeviceFaults, InjectedLaunchFailureLeavesQueueConsistent) {
   faultsim::ScopedFaultInjector scoped(
       plan_from("seed=1;kernel-launch:nth=2"));
   Device device(DeviceSpec::k40());
+  device.set_kernel_log(true);
   device.launch_estimated(0, "survivor", small_work());
   EXPECT_THROW(device.launch_estimated(0, "victim", small_work()),
                LaunchFailure);
@@ -77,6 +78,7 @@ TEST(DeviceFaults, SubWatchdogStallOnlyDelays) {
 
 TEST(DeviceFaults, ResetDropsPendingWorkAndMemory) {
   Device device(DeviceSpec::k40());
+  device.set_kernel_log(true);
   auto buffer = device.allocate(4096);
   device.launch_estimated(0, "doomed", small_work());
   device.reset();

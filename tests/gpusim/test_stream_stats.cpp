@@ -22,6 +22,7 @@ TEST(StreamStats, EmptyDevice) {
 
 TEST(StreamStats, SingleStreamAccounting) {
   Device device(DeviceSpec::k40());
+  device.set_kernel_log(true);
   device.launch_estimated(0, "a", small_work());
   device.launch_estimated(0, "b", small_work());
   device.synchronize();
@@ -36,6 +37,7 @@ TEST(StreamStats, SingleStreamAccounting) {
 
 TEST(StreamStats, ConcurrencyAboveOneWithTwoStreams) {
   Device device(DeviceSpec::k40());
+  device.set_kernel_log(true);
   WorkEstimate heavy;
   heavy.threads = 2048;
   heavy.thread_ops = 100'000'000;
@@ -49,6 +51,7 @@ TEST(StreamStats, ConcurrencyAboveOneWithTwoStreams) {
 
 TEST(StreamStats, SerializedStreamsConcurrencyNearOne) {
   Device device(DeviceSpec::k40());
+  device.set_kernel_log(true);
   WorkEstimate heavy;
   heavy.threads = 2048;
   heavy.thread_ops = 100'000'000;
@@ -61,6 +64,7 @@ TEST(StreamStats, SerializedStreamsConcurrencyNearOne) {
 
 TEST(StreamStats, SpanCoversAllStreams) {
   Device device(DeviceSpec::k40());
+  device.set_kernel_log(true);
   device.launch_estimated(0, "a", small_work());
   device.launch_estimated(3, "b", small_work());
   device.launch_estimated(7, "c", small_work());
@@ -77,6 +81,7 @@ TEST(StreamStats, SpanCoversAllStreams) {
 // sum of exclusive kernel durations can never beat capacity x span.
 TEST(StreamStats, WorkConservation) {
   Device device(DeviceSpec::k40());
+  device.set_kernel_log(true);
   WorkEstimate w;
   w.threads = 15 * 64 * 32;  // fills the device
   w.thread_ops = 50'000'000;

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-
 #include "util/rng.hpp"
 
 namespace pcmax::partition {
@@ -23,15 +21,6 @@ TEST(BlockedSolver, MatchesReferenceOnPtasProblem) {
   }
 }
 
-TEST(BlockedSolver, DepsMatchReference) {
-  const auto p = ptas_like_problem();
-  dp::SolveOptions opt;
-  opt.collect_deps = true;
-  const auto ref = dp::ReferenceSolver().solve(p, opt);
-  const auto blocked = BlockedSolver(3).solve(p, opt);
-  EXPECT_EQ(blocked.deps, ref.deps);
-}
-
 TEST(BlockedSolver, NameEncodesPartitionDims) {
   EXPECT_EQ(BlockedSolver(3).name(), "blocked-dim3");
   EXPECT_EQ(BlockedSolver(9).name(), "blocked-dim9");
@@ -49,64 +38,6 @@ TEST(BlockedSolver, SingleCellTable) {
   const dp::DpProblem p{{0}, {1}, 1};
   const auto r = BlockedSolver(1).solve(p);
   EXPECT_EQ(r.opt, 0);
-}
-
-// Observer wiring: the callbacks must see every cell exactly once, in
-// dependency-safe order.
-class RecordingObserver final : public BlockObserver {
- public:
-  void on_solve_begin(const BlockedLayout& layout,
-                      std::uint64_t config_count) override {
-    layout_cells_ = layout.table_radix().size();
-    config_count_ = config_count;
-    block_level_of_.assign(layout.block_count(), -1);
-    const dp::LevelBuckets buckets(layout.grid());
-    for (std::int64_t l = 0; l < buckets.levels(); ++l)
-      for (const auto b : buckets.cells_at(l))
-        block_level_of_[b] = l;
-  }
-  void on_block_level(std::int64_t level,
-                      std::span<const std::uint64_t> blocks) override {
-    EXPECT_EQ(level, last_block_level_ + 1) << "levels must be sequential";
-    last_block_level_ = level;
-    for (const auto b : blocks) EXPECT_EQ(block_level_of_[b], level);
-  }
-  void on_in_block_level(std::uint64_t block_id, std::int64_t in_level,
-                         std::span<const CellStat> cells) override {
-    (void)block_id;
-    (void)in_level;
-    cells_seen_ += cells.size();
-    for (const auto& c : cells) {
-      total_deps_ += c.deps;
-      EXPECT_GE(c.candidates, 1u);
-      EXPECT_LE(c.deps, config_count_);
-    }
-  }
-  void on_solve_end() override { ended_ = true; }
-
-  std::uint64_t layout_cells_ = 0;
-  std::uint64_t config_count_ = 0;
-  std::vector<std::int64_t> block_level_of_;
-  std::int64_t last_block_level_ = -1;
-  std::uint64_t cells_seen_ = 0;
-  std::uint64_t total_deps_ = 0;
-  bool ended_ = false;
-};
-
-TEST(BlockedSolver, ObserverSeesEveryCellOnce) {
-  const auto p = ptas_like_problem();
-  RecordingObserver obs;
-  const auto r = BlockedSolver(3, &obs).solve(p);
-  EXPECT_TRUE(obs.ended_);
-  EXPECT_EQ(obs.cells_seen_, p.table_size());
-  // Total deps reported to the observer equal the sum of per-cell deps.
-  dp::SolveOptions opt;
-  opt.collect_deps = true;
-  const auto ref = dp::ReferenceSolver().solve(p, opt);
-  const auto expected = std::accumulate(ref.deps.begin(), ref.deps.end(),
-                                        std::uint64_t{0});
-  EXPECT_EQ(obs.total_deps_, expected);
-  EXPECT_EQ(r.opt, ref.opt);
 }
 
 struct RandomCase {

@@ -125,6 +125,7 @@ TEST(CheckBlockedBijection, HoldsOnPaperAndPrimeShapes) {
 
 TEST(CheckDeviceConservation, HoldsAfterAGpuSolve) {
   gpusim::Device device(gpusim::DeviceSpec::k40());
+  device.set_kernel_log(true);
   const dp::DpProblem problem{{3, 3, 2}, {4, 5, 7}, 16};
   const auto result = gpu::GpuDpSolver(device, 5).solve(problem);
   EXPECT_EQ(result.opt, dp::ReferenceSolver().solve(problem).opt);

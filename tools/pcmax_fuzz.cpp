@@ -267,7 +267,6 @@ class Fuzzer {
   /// Every engine against the reference, plus reference self-consistency.
   testkit::CheckResult check_problem_all_engines(const dp::DpProblem& problem,
                                                  bool count_coverage) {
-    registry_.device().clear_log();
     const auto& engines = registry_.engines();
     const auto reference = engines.front().solve(problem);
     if (auto bad = testkit::check_dp_table(problem, reference))
@@ -365,6 +364,7 @@ class Fuzzer {
     // along on small instances.
     if (!bad.has_value() && instance.jobs() <= 16) {
       gpusim::Device device(gpusim::DeviceSpec::k40());
+      device.set_kernel_log(true);  // read by check_device_conservation
       gpu::GpuPtasOptions gpu_options;
       gpu_options.epsilon = epsilon;
       const auto gpu_result = gpu::solve_gpu_ptas(instance, device, gpu_options);
@@ -563,6 +563,7 @@ class Fuzzer {
     const auto check = [&](const dp::DpProblem& candidate)
         -> testkit::CheckResult {
       gpusim::Device device(gpusim::DeviceSpec::k40());
+      device.set_kernel_log(true);  // read by check_device_conservation
       const gpu::GpuDpSolver solver(device, 5);
       const auto result = solver.solve(candidate);
       const auto reference = dp::ReferenceSolver().solve(candidate);
