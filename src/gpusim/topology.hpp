@@ -11,8 +11,8 @@
 //
 // Transfers are store-and-forward per hop and purely additive on the sim
 // clock, like kernel and allocation charges: Topology never moves real
-// bytes — the DP values are computed host-side by the BlockedSolver, and
-// the topology charges what moving them would have cost.
+// bytes — the DP values are computed host-side by the GPU engine's fill,
+// and the topology charges what moving them would have cost.
 #pragma once
 
 #include <cstdint>

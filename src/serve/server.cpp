@@ -164,6 +164,10 @@ void SolveServer::worker_main(int index) {
   // Every event this thread records lands on its own track, so one
   // request's spans are readable even when eight workers interleave.
   const obs::ScopedTrack track(obs::kWorkerTidBase + index);
+  // A worker gives up its CPU at each simulated device synchronize, so a
+  // caller's thread submitting requests never waits a whole scheduler
+  // slice behind a solve (gpusim::ScopedHostYield).
+  const gpusim::ScopedHostYield host_yield;
 
   // Each worker owns device `index` of the server's shared topology:
   // engine recovery (device reset) after one tenant's fault never disturbs
