@@ -3,6 +3,7 @@
 // reproduction benches, which report simulated device times).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -78,6 +79,34 @@ void BM_DpSolve(benchmark::State& state) {
   state.SetLabel("sigma=" + std::to_string(shape.table_size));
 }
 BENCHMARK(BM_DpSolve)->Arg(0)->Arg(4)->Arg(6);
+
+// The sweep behind dp::kSerialFillCells: one fill of a table of 2^n cells,
+// n = 2..15, by fill_row_major (threads = 1) or by fill_by_level on a
+// 4-thread team, over classes k, k+1, ... (k = 4: up to 4 classes; k = 8:
+// up to 6). Args: n, k, threads.
+void BM_FillSweep(benchmark::State& state) {
+  const auto bits = state.range(0);
+  const auto k = state.range(1);
+  const int threads = static_cast<int>(state.range(2));
+  const auto dims = std::min<std::int64_t>(bits, k == 4 ? 4 : 6);
+  std::vector<std::int64_t> extents;
+  for (std::int64_t i = 0; i < dims; ++i) {
+    const std::int64_t dim_bits = bits / dims + (i < bits % dims ? 1 : 0);
+    extents.push_back(std::int64_t{1} << dim_bits);
+  }
+  const auto problem = workload::dp_problem_for_extents(extents, k);
+  const dp::ConfigSet configs(problem.counts, problem.weights,
+                              problem.capacity, problem.radix());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        threads == 1 ? dp::fill_row_major(problem, configs).opt
+                     : dp::fill_by_level(problem, configs, threads).opt);
+  }
+  state.SetLabel("cells=" + std::to_string(problem.table_size()));
+}
+BENCHMARK(BM_FillSweep)
+    ->ArgsProduct({benchmark::CreateDenseRange(2, 15, 1), {4, 8}, {1, 4}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_BlockedSolve(benchmark::State& state) {
   const auto problem =

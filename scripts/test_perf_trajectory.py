@@ -6,6 +6,7 @@ Run directly or via ctest (perf_trajectory_unit):
     python3 scripts/test_perf_trajectory.py
 """
 
+import json
 import unittest
 
 import perf_trajectory
@@ -133,6 +134,131 @@ class DeltaLinesTest(unittest.TestCase):
                                             previous)
         self.assertIn("cells=7 ", lines[0])
         self.assertNotIn("%", lines[0])
+
+
+def e2e_output(workload, seed, traced=False, failed=0, **metrics):
+    """A bench_e2e stdout capture: header, report lines, JSON result."""
+    result = {"correct": failed == 0, "attempted": 100, "failed": failed,
+              "metrics": {name: {"value": value, "unit": "u"}
+                          for name, value in metrics.items()}}
+    mode = "traced" if traced else "untraced"
+    return (f"# bench_e2e {workload} seed {seed} seconds 15 {mode}\n"
+            f"latency p50 0.018 ms\n{json.dumps(result)}\nexit 0\n")
+
+
+BOUNDS = [{"name": "throughput_per_s", "better": "higher", "bound": 0.25},
+          {"name": "latency_ms_p95", "better": "lower", "bound": 0.25}]
+
+
+class ParseE2eOutputTest(unittest.TestCase):
+    def test_reads_header_and_result(self):
+        run = perf_trajectory.parse_e2e_output(
+            e2e_output("small-mix", 7, throughput_per_s=5000.0))
+        self.assertEqual(run["workload"], "small-mix")
+        self.assertEqual(run["seed"], 7)
+        self.assertFalse(run["traced"])
+        self.assertEqual(run["metrics"]["throughput_per_s"], (5000.0, "u"))
+
+    def test_traced_header(self):
+        run = perf_trajectory.parse_e2e_output(
+            e2e_output("dp-heavy", 1, traced=True))
+        self.assertTrue(run["traced"])
+
+    def test_missing_header_or_result_raises(self):
+        with self.assertRaises(ValueError):
+            perf_trajectory.parse_e2e_output('{"metrics": {}}\n')
+        with self.assertRaises(ValueError):
+            perf_trajectory.parse_e2e_output(
+                "# bench_e2e small-mix seed 1 seconds 15 untraced\n")
+
+
+class QuartilesTest(unittest.TestCase):
+    def test_odd_and_even_counts(self):
+        self.assertEqual(perf_trajectory.quartiles([5, 1, 4, 2, 3]),
+                         (2, 3, 4))
+        self.assertEqual(perf_trajectory.quartiles([1, 2, 3, 4]),
+                         (1.75, 2.5, 3.25))
+        self.assertEqual(perf_trajectory.quartiles([9]), (9, 9, 9))
+
+
+def parsed_runs(workload, values, traced_seeds=()):
+    runs = [perf_trajectory.parse_e2e_output(
+        e2e_output(workload, seed, throughput_per_s=value))
+        for seed, value in enumerate(values, start=1)]
+    runs += [perf_trajectory.parse_e2e_output(
+        e2e_output(workload, seed, traced=True, **{"dp.ns_per_cell": seed}))
+        for seed in traced_seeds]
+    return runs
+
+
+class FoldE2eTest(unittest.TestCase):
+    def test_medians_quartiles_and_layers(self):
+        runs = parsed_runs("small-mix", [10, 50, 30, 20, 40],
+                           traced_seeds=[4, 2])
+        workloads, errors = perf_trajectory.fold_e2e(runs)
+        self.assertEqual(errors, [])
+        summary = workloads["small-mix"]
+        self.assertEqual(summary["seeds"], [1, 2, 3, 4, 5])
+        stats = summary["metrics"]["throughput_per_s"]
+        self.assertEqual((stats["q1"], stats["median"], stats["q3"]),
+                         (20, 30, 40))
+        self.assertEqual(summary["layers"],
+                         {"seed": 2, "metrics": {"dp.ns_per_cell": 2}})
+        self.assertEqual(summary["attempted"], 700)
+
+    def test_too_few_seeds_is_an_error(self):
+        workloads, errors = perf_trajectory.fold_e2e(
+            parsed_runs("dp-heavy", [1, 2, 3, 4]))
+        self.assertEqual(workloads, {})
+        self.assertIn("dp-heavy: 4 untraced seeds", errors[0])
+
+    def test_workloads_fold_apart(self):
+        workloads, errors = perf_trajectory.fold_e2e(
+            parsed_runs("a", [1] * 5) + parsed_runs("b", [2] * 5))
+        self.assertEqual(errors, [])
+        self.assertEqual(sorted(workloads), ["a", "b"])
+        self.assertEqual(
+            workloads["b"]["metrics"]["throughput_per_s"]["median"], 2)
+
+
+class DiffE2eTest(unittest.TestCase):
+    @staticmethod
+    def summary(throughput, p95, failed=0):
+        def stat(value):
+            return {"unit": "u", "median": value, "q1": value, "q3": value}
+        return {"failed": failed, "metrics": {
+            "throughput_per_s": stat(throughput), "latency_ms_p95": stat(p95)}}
+
+    def test_flags_only_changes_beyond_the_bound(self):
+        previous = {"workloads": {"w": self.summary(100.0, 1.0)}}
+        lines, worse = perf_trajectory.diff_e2e(
+            {"w": self.summary(80.0, 1.2)}, previous, BOUNDS)
+        self.assertEqual(worse, 0)
+        self.assertNotIn("WORSE", "".join(lines))
+        lines, worse = perf_trajectory.diff_e2e(
+            {"w": self.summary(70.0, 1.3)}, previous, BOUNDS)
+        self.assertEqual(worse, 2)
+        self.assertIn("-30.0%", lines[0])
+
+    def test_gains_are_never_flagged(self):
+        previous = {"workloads": {"w": self.summary(100.0, 1.0)}}
+        _, worse = perf_trajectory.diff_e2e(
+            {"w": self.summary(200.0, 0.5)}, previous, BOUNDS)
+        self.assertEqual(worse, 0)
+
+    def test_new_workload_and_failed_answers(self):
+        lines, worse = perf_trajectory.diff_e2e(
+            {"w": self.summary(1.0, 1.0, failed=3)}, None, BOUNDS)
+        self.assertEqual(worse, 1)
+        self.assertIn("3 failed", lines[0])
+        self.assertIn("(new)", lines[1])
+
+    def test_previous_run_skips_record_runs(self):
+        history = {"runs": [{"label": "a", "workloads": {}},
+                            {"label": "b", "records": []}]}
+        self.assertEqual(
+            perf_trajectory.previous_e2e_run(history)["label"], "a")
+        self.assertIsNone(perf_trajectory.previous_e2e_run({"runs": []}))
 
 
 if __name__ == "__main__":

@@ -97,7 +97,7 @@ void ProbeCache::clear() {
 
 // --- ShardedProbeCache ----------------------------------------------------
 
-thread_local std::uint64_t ShardedProbeCache::t_owner_tag = 0;
+constinit thread_local std::uint64_t ShardedProbeCache::t_owner_tag = 0;
 
 ShardedProbeCache::ShardedProbeCache(std::size_t max_entries,
                                      std::size_t shards) {

@@ -311,7 +311,7 @@ class ShardedProbeCache final : public ProbeCacheBase {
   /// the latch is released.
   static void publish(Shard& shard, std::shared_ptr<const Table> next);
 
-  static thread_local std::uint64_t t_owner_tag;
+  static constinit thread_local std::uint64_t t_owner_tag;
 
   std::size_t shard_count_;
   std::size_t per_shard_capacity_;

@@ -7,36 +7,28 @@ namespace pcmax::dp {
 
 namespace {
 
-struct EnumState {
-  std::span<const std::int64_t> counts;
-  std::span<const std::int64_t> weights;
-  std::int64_t capacity;
-  const MixedRadix* radix;
-  std::vector<std::int64_t> current;
-  std::vector<std::int64_t>* flat;
-  std::vector<std::uint64_t>* deltas;
-  std::vector<std::int64_t>* out_weights;
-  std::vector<std::int64_t>* level_drops;
-};
-
-void enumerate(EnumState& st, std::size_t dim, std::int64_t used,
-               std::int64_t jobs) {
-  if (dim == st.counts.size()) {
-    if (jobs == 0) return;  // the all-zero vector is not a configuration
-    st.flat->insert(st.flat->end(), st.current.begin(), st.current.end());
-    st.deltas->push_back(st.radix->flatten(st.current));
-    st.out_weights->push_back(used);
-    st.level_drops->push_back(jobs);
+/// Calls visit(s, weight, jobs, delta) for every configuration s, in
+/// lexicographic order; `s` holds the first `dim` coordinates so far.
+template <typename Visit>
+void enumerate(std::span<const std::int64_t> counts,
+               std::span<const std::int64_t> weights, std::int64_t capacity,
+               const MixedRadix& radix, std::vector<std::int64_t>& s,
+               std::size_t dim, std::int64_t used, std::int64_t jobs,
+               std::uint64_t delta, Visit& visit) {
+  if (dim == counts.size()) {
+    if (jobs > 0) visit(s, used, jobs, delta);  // s = 0 is no configuration
     return;
   }
-  const std::int64_t w = st.weights[dim];
-  const std::int64_t max_by_capacity = (st.capacity - used) / w;
-  const std::int64_t bound = std::min(st.counts[dim], max_by_capacity);
-  for (std::int64_t s = 0; s <= bound; ++s) {
-    st.current[dim] = s;
-    enumerate(st, dim + 1, used + s * w, jobs + s);
+  const std::int64_t w = weights[dim];
+  const std::int64_t bound = std::min(counts[dim], (capacity - used) / w);
+  for (std::int64_t x = 0; x <= bound; ++x) {
+    s[dim] = x;
+    enumerate(counts, weights, capacity, radix, s, dim + 1, used + x * w,
+              jobs + x,
+              delta + static_cast<std::uint64_t>(x) * radix.strides()[dim],
+              visit);
   }
-  st.current[dim] = 0;
+  s[dim] = 0;
 }
 
 }  // namespace
@@ -55,10 +47,27 @@ ConfigSet::ConfigSet(std::span<const std::int64_t> counts,
     PCMAX_EXPECTS(radix.extents()[i] == counts[i] + 1);
   }
 
-  EnumState st{counts, weights,        capacity,  &radix,
-               std::vector<std::int64_t>(counts.size(), 0),
-               &flat_,  &deltas_,      &weights_, &level_drops_};
-  enumerate(st, 0, 0, 0);
+  // Count first and size the arrays once: most sets are small and built per
+  // DP call, where growing four vectors would cost more than the enumeration.
+  std::vector<std::int64_t> s(dims_, 0);
+  std::size_t n = 0;
+  auto count = [&](const auto&, std::int64_t, std::int64_t, std::uint64_t) {
+    ++n;
+  };
+  enumerate(counts, weights, capacity, radix, s, 0, 0, 0, 0, count);
+  flat_.reserve(n * dims_);
+  deltas_.reserve(n);
+  weights_.reserve(n);
+  level_drops_.reserve(n);
+  auto store = [&](const std::vector<std::int64_t>& config,
+                   std::int64_t weight, std::int64_t jobs,
+                   std::uint64_t delta) {
+    flat_.insert(flat_.end(), config.begin(), config.end());
+    deltas_.push_back(delta);
+    weights_.push_back(weight);
+    level_drops_.push_back(jobs);
+  };
+  enumerate(counts, weights, capacity, radix, s, 0, 0, 0, 0, store);
   if (!flat_.empty()) hot_ = FitSet(flat_, dims_);
 }
 

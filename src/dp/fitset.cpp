@@ -1,7 +1,6 @@
 #include "dp/fitset.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "obs/metrics.hpp"
 #include "util/contracts.hpp"
@@ -28,14 +27,23 @@ FitSet::FitSet(std::span<const std::int64_t> rows, std::size_t dims)
       drops[i] += rows[i * dims_ + j];
   max_drop_ = size_ == 0 ? 0 : *std::max_element(drops.begin(), drops.end());
 
-  // Descending drop; original order breaks ties so the scan order is
-  // deterministic and stable across rebuilds.
+  // begin_at_drop_[l]: first sorted position whose drop is <= l — i.e. the
+  // number of rows with drop > l, since positions are sorted descending.
+  std::vector<std::size_t> rows_with_drop(
+      static_cast<std::size_t>(max_drop_) + 1, 0);
+  for (std::size_t i = 0; i < size_; ++i)
+    ++rows_with_drop[static_cast<std::size_t>(drops[i])];
+  begin_at_drop_.assign(static_cast<std::size_t>(max_drop_) + 1, 0);
+  for (std::size_t l = static_cast<std::size_t>(max_drop_); l-- > 0;)
+    begin_at_drop_[l] = begin_at_drop_[l + 1] + rows_with_drop[l + 1];
+
+  // Descending drop by a counting sort; original order breaks ties, so the
+  // scan order is deterministic and stable across rebuilds.
   orig_.resize(size_);
-  std::iota(orig_.begin(), orig_.end(), 0u);
-  std::stable_sort(orig_.begin(), orig_.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return drops[a] > drops[b];
-                   });
+  std::vector<std::size_t> cursor = begin_at_drop_;
+  for (std::size_t i = 0; i < size_; ++i)
+    orig_[cursor[static_cast<std::size_t>(drops[i])]++] =
+        static_cast<std::uint32_t>(i);
 
   // Transpose into dimension-major columns in sorted order.
   soa_.resize(size_ * dims_);
@@ -48,16 +56,6 @@ FitSet::FitSet(std::span<const std::int64_t> rows, std::size_t dims)
       max_coord_[j] = std::max(max_coord_[j], x);
     }
   }
-
-  // begin_at_drop_[l]: first sorted position whose drop is <= l — i.e. the
-  // number of rows with drop > l, since positions are sorted descending.
-  std::vector<std::size_t> rows_with_drop(
-      static_cast<std::size_t>(max_drop_) + 1, 0);
-  for (std::size_t i = 0; i < size_; ++i)
-    ++rows_with_drop[static_cast<std::size_t>(drops[i])];
-  begin_at_drop_.assign(static_cast<std::size_t>(max_drop_) + 1, 0);
-  for (std::size_t l = static_cast<std::size_t>(max_drop_); l-- > 0;)
-    begin_at_drop_[l] = begin_at_drop_[l + 1] + rows_with_drop[l + 1];
 }
 
 }  // namespace pcmax::dp

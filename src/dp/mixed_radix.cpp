@@ -94,20 +94,11 @@ LevelBuckets::LevelBuckets(const MixedRadix& radix) {
 
   // Counting sort by level. Levels are computed incrementally by walking the
   // coordinate odometer instead of dividing per cell; this is O(size) total.
-  const auto& extents = radix.extents();
   std::vector<std::int64_t> coord(radix.dims(), 0);
   std::int64_t level = 0;
   for (std::uint64_t id = 0; id < radix.size(); ++id) {
     ++counts[static_cast<std::size_t>(level)];
-    // Advance odometer (row-major: last coordinate fastest).
-    for (std::size_t i = radix.dims(); i-- > 0;) {
-      if (++coord[i] < extents[i]) {
-        ++level;
-        break;
-      }
-      level -= extents[i] - 1;
-      coord[i] = 0;
-    }
+    level += radix.advance(coord);
   }
 
   offsets_.assign(levels + 1, 0);
@@ -120,14 +111,7 @@ LevelBuckets::LevelBuckets(const MixedRadix& radix) {
   level = 0;
   for (std::uint64_t id = 0; id < radix.size(); ++id) {
     ids_[cursor[static_cast<std::size_t>(level)]++] = id;
-    for (std::size_t i = radix.dims(); i-- > 0;) {
-      if (++coord[i] < extents[i]) {
-        ++level;
-        break;
-      }
-      level -= extents[i] - 1;
-      coord[i] = 0;
-    }
+    level += radix.advance(coord);
   }
 }
 

@@ -40,6 +40,19 @@ class MixedRadix {
   /// Convenience overload allocating the coordinate vector.
   [[nodiscard]] std::vector<std::int64_t> unflatten(std::uint64_t index) const;
 
+  /// Steps the coordinates `v` to the next cell in row-major order (last
+  /// coordinate fastest) and returns the change in level; the last cell
+  /// steps to the origin. Walks a table without a division per cell.
+  std::int64_t advance(std::span<std::int64_t> v) const noexcept {
+    std::int64_t change = 0;
+    for (std::size_t i = v.size(); i-- > 0;) {
+      if (++v[i] < extents_[i]) return change + 1;
+      change -= extents_[i] - 1;
+      v[i] = 0;
+    }
+    return change;
+  }
+
   /// Anti-diagonal level (sum of coordinates) of the cell at `index`.
   [[nodiscard]] std::int64_t level_of(std::uint64_t index) const;
 

@@ -115,6 +115,51 @@ int resolve_threads(int num_threads) {
   return num_threads > 0 ? num_threads : omp_get_max_threads();
 }
 
+/// The cells after the origin in row-major order on the calling thread; the
+/// odometer carries each cell's coordinates and level. Returns the cells
+/// that scanned configurations.
+std::uint64_t row_major(SolveContext& ctx) {
+  std::int64_t coords[64] = {};
+  const std::span<std::int64_t> v(coords, ctx.radix.dims());
+  std::int64_t level = 0;
+  std::uint64_t scans = 0;
+  for (std::uint64_t id = 1; id < ctx.radix.size(); ++id) {
+    level += ctx.radix.advance(v);
+    ctx.fill_cell(v, level, id, scans);
+  }
+  return scans;
+}
+
+/// The cells level by level in one team of `threads` OpenMP threads; the
+/// implicit barrier of each `omp for` finishes a level before any thread
+/// starts the next. Returns the cells that scanned configurations.
+std::uint64_t by_level(SolveContext& ctx, int threads) {
+  const LevelBuckets buckets(ctx.radix);
+  std::uint64_t scans = 0;
+#pragma omp parallel num_threads(threads) reduction(+ : scans)
+  {
+    std::int64_t coords[64];
+    const std::span<std::int64_t> v(coords, ctx.radix.dims());
+    for (std::int64_t level = 1; level < buckets.levels(); ++level) {
+      const auto cells = buckets.cells_at(level);
+#pragma omp for schedule(dynamic, 64)
+      for (std::int64_t i = 0; i < static_cast<std::int64_t>(cells.size());
+           ++i) {
+        const std::uint64_t id = cells[static_cast<std::size_t>(i)];
+        ctx.radix.unflatten(id, v);
+        ctx.fill_cell(v, level, id, scans);
+      }
+    }
+  }
+  return scans;
+}
+
+DpResult finish_fill(SolveContext& ctx, std::uint64_t scans) {
+  ctx.count_cells(scans);
+  ctx.result.opt = ctx.result.table.back();
+  return std::move(ctx.result);
+}
+
 /// DpSolver::solve around a fill: validate, enumerate the configurations,
 /// hit host-alloc for the table, fill(configs), then hit dp-finalize.
 template <typename Fill>
@@ -204,35 +249,25 @@ DpResult LevelScanSolver::solve(const DpProblem& problem,
   });
 }
 
+DpResult fill_row_major(const DpProblem& problem, const ConfigSet& configs) {
+  SolveContext ctx(problem, configs);
+  return finish_fill(ctx, row_major(ctx));
+}
+
+DpResult fill_by_level(const DpProblem& problem, const ConfigSet& configs,
+                       int num_threads) {
+  SolveContext ctx(problem, configs);
+  return finish_fill(ctx, by_level(ctx, resolve_threads(num_threads)));
+}
+
 DpResult fill_level_buckets(const DpProblem& problem,
                             const ConfigSet& configs, int num_threads) {
   SolveContext ctx(problem, configs);
-  const LevelBuckets buckets(ctx.radix);
+  if (ctx.radix.size() < kSerialFillCells)
+    return finish_fill(ctx, row_major(ctx));
   const int threads = resolve_threads(num_threads);
-
-  std::uint64_t scans = 0;
-  const auto fill = [&ctx](std::uint64_t id, std::int64_t level,
-                           std::uint64_t& level_scans) {
-    std::int64_t coords[64];
-    std::span<std::int64_t> v(coords, ctx.radix.dims());
-    ctx.radix.unflatten(id, v);
-    ctx.fill_cell(v, level, id, level_scans);
-  };
-  for (std::int64_t level = 1; level < buckets.levels(); ++level) {
-    const auto cells = buckets.cells_at(level);
-    if (threads == 1) {
-      for (const std::uint64_t id : cells) fill(id, level, scans);
-      continue;
-    }
-#pragma omp parallel for num_threads(threads) schedule(dynamic, 64) \
-    reduction(+ : scans)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(cells.size());
-         ++i)
-      fill(cells[static_cast<std::size_t>(i)], level, scans);
-  }
-  ctx.count_cells(scans);
-  ctx.result.opt = ctx.result.table.back();
-  return std::move(ctx.result);
+  return finish_fill(ctx,
+                     threads == 1 ? row_major(ctx) : by_level(ctx, threads));
 }
 
 DpResult LevelBucketSolver::solve(const DpProblem& problem,

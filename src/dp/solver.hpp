@@ -21,9 +21,17 @@ inline constexpr std::int32_t kInfeasible =
     std::numeric_limits<std::int32_t>::max();
 
 struct SolveOptions {
-  /// OpenMP thread count; 0 uses the runtime default.
+  /// Most OpenMP threads a solve may use; 0 means the runtime default. The
+  /// level solvers fill tables smaller than kSerialFillCells on the calling
+  /// thread whatever this says.
   int num_threads = 0;
 };
+
+/// Tables with fewer cells than this are filled on the calling thread: on
+/// the PTAS's smaller tables an OpenMP team costs at least what it saves
+/// (bench_micro's BM_FillSweep and a replay of small-mix's DP calls,
+/// docs/PERFORMANCE.md section 7).
+inline constexpr std::uint64_t kSerialFillCells = 2048;
 
 struct DpResult {
   /// OPT(N): minimum machine count, or kInfeasible.
@@ -73,8 +81,8 @@ class LevelScanSolver final : public DpSolver {
   [[nodiscard]] std::string name() const override { return "level-scan"; }
 };
 
-/// Optimized level-synchronous solver: cells are pre-bucketed by level and
-/// each bucket is processed with an OpenMP parallel-for.
+/// Optimized solver over fill_level_buckets: small tables in row-major order
+/// on the calling thread, larger ones level by level in one OpenMP region.
 class LevelBucketSolver final : public DpSolver {
  public:
   using DpSolver::solve;
@@ -84,13 +92,27 @@ class LevelBucketSolver final : public DpSolver {
 };
 
 /// LevelBucketSolver's fill over `configs`, the configuration set the
-/// caller enumerated for `problem`, on `num_threads` threads (0: the OpenMP
-/// default; 1: the calling thread alone, no OpenMP team). Unlike
+/// caller enumerated for `problem`, on at most `num_threads` threads (0: the
+/// OpenMP default). A table smaller than kSerialFillCells, or a one-thread
+/// fill, runs fill_row_major; any other runs fill_by_level. Unlike
 /// DpSolver::solve it hits no fault site: gpu::GpuDpSolver places
 /// host-alloc before its device calls and dp-finalize after them.
 [[nodiscard]] DpResult fill_level_buckets(const DpProblem& problem,
                                           const ConfigSet& configs,
                                           int num_threads);
+
+/// The two fills fill_level_buckets chooses between, exposed so that
+/// bench_micro can time both on one table and tests can compare them.
+/// fill_row_major visits the cells on the calling thread in row-major order,
+/// a topological order of Equation (1): every v - s precedes v.
+/// fill_by_level opens one OpenMP region of `num_threads` threads (0: the
+/// default) and shares each anti-diagonal level among them; the levels run
+/// in order, with a barrier between two.
+[[nodiscard]] DpResult fill_row_major(const DpProblem& problem,
+                                      const ConfigSet& configs);
+[[nodiscard]] DpResult fill_by_level(const DpProblem& problem,
+                                     const ConfigSet& configs,
+                                     int num_threads);
 
 /// |C_v| = #{s in C : s <= v} for every cell v, row-major: the
 /// configurations Equation (1) reduces over at v, which the GPU and OpenMP

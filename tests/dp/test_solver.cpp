@@ -336,6 +336,98 @@ TEST(SolverProperties, OverweightClassFallsBackToThePlainScan) {
   EXPECT_GT(counter_after_bucket_solve(empty_heavy, "dp.cells_bounded"), 0u);
 }
 
+// The extents of a table of exactly `cells` cells: `cells` split into random
+// factors, with up to two zero-count classes (extent 1) mixed in.
+std::vector<std::int64_t> random_factors(std::uint64_t cells, util::Rng& rng) {
+  std::vector<std::int64_t> extents;
+  while (cells > 1) {
+    std::vector<std::uint64_t> divisors;
+    for (std::uint64_t f = 2; f <= cells; ++f)
+      if (cells % f == 0) divisors.push_back(f);
+    const std::uint64_t f =
+        extents.size() == 7
+            ? cells
+            : divisors[static_cast<std::size_t>(rng.uniform(
+                  0, static_cast<std::int64_t>(divisors.size()) - 1))];
+    extents.push_back(static_cast<std::int64_t>(f));
+    cells /= f;
+  }
+  for (std::int64_t n = rng.uniform(0, 2); n > 0; --n) {
+    const auto at = rng.uniform(0, static_cast<std::int64_t>(extents.size()));
+    extents.insert(extents.begin() + at, 1);
+  }
+  return extents;
+}
+
+// A problem over `extents` with classes that fit at most about six to a
+// machine and, in about one case in five, a class heavier than the capacity.
+DpProblem problem_over(const std::vector<std::int64_t>& extents,
+                       util::Rng& rng) {
+  DpProblem p;
+  p.capacity = rng.uniform(8, 40);
+  for (const std::int64_t e : extents) {
+    p.counts.push_back(e - 1);
+    p.weights.push_back(rng.uniform(std::max<std::int64_t>(1, p.capacity / 6),
+                                    p.capacity));
+  }
+  if (rng.uniform(0, 4) == 0)
+    p.weights[static_cast<std::size_t>(rng.uniform(
+        0, static_cast<std::int64_t>(extents.size()) - 1))] =
+        p.capacity + rng.uniform(1, 5);
+  return p;
+}
+
+TEST(SolverProperties, FillsAgreeAcrossTheSerialThreshold) {
+  int below = 0, at_or_above = 0, overweight = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    // Three quarters sit on the threshold (-1, 0, +1 cells); the rest are
+    // products of small extents up to 2^15 cells.
+    std::vector<std::int64_t> extents;
+    if (seed % 4 != 0) {
+      extents = random_factors(kSerialFillCells - 2 + seed % 4, rng);
+    } else {
+      const std::int64_t cap = std::int64_t{1} << rng.uniform(2, 15);
+      std::int64_t cells = 1;
+      for (std::int64_t e = rng.uniform(2, 8); cells * e <= cap;
+           e = rng.uniform(2, 8)) {
+        extents.push_back(e);
+        cells *= e;
+      }
+      if (extents.empty()) extents.push_back(cap);
+    }
+    const DpProblem p = problem_over(extents, rng);
+    const std::uint64_t cells = p.table_size();
+    (cells < kSerialFillCells ? below : at_or_above) += 1;
+    overweight += every_class_fits(p) ? 0 : 1;
+
+    const DpResult expected = ReferenceSolver().solve(p);
+    std::uint64_t scanned_at_one_thread = 0;
+    for (const int threads : {1, 2, 4}) {
+      SolveOptions options;
+      options.num_threads = threads;
+      obs::ObsSession session;
+      ASSERT_EQ(LevelBucketSolver().solve(p, options).table, expected.table)
+          << threads << " threads";
+      const std::uint64_t scanned =
+          session.metrics().counter("dp.cells_scanned");
+      ASSERT_EQ(scanned + session.metrics().counter("dp.cells_bounded"),
+                cells - 1)
+          << threads << " threads";
+      if (threads == 1) scanned_at_one_thread = scanned;
+      ASSERT_EQ(scanned, scanned_at_one_thread) << threads << " threads";
+    }
+    // Both fills, whichever side of the threshold the table is on.
+    const ConfigSet configs(p.counts, p.weights, p.capacity, p.radix());
+    ASSERT_EQ(fill_row_major(p, configs).table, expected.table);
+    ASSERT_EQ(fill_by_level(p, configs, 3).table, expected.table);
+  }
+  EXPECT_GT(below, 80);
+  EXPECT_GT(at_or_above, 150);
+  EXPECT_GT(overweight, 30);
+}
+
 TEST(FillLevelBuckets, MatchesTheSolverAndTouchesNoFaultSite) {
   const DpProblem p = ptas_like_problem();
   const MixedRadix radix = p.radix();
@@ -344,9 +436,10 @@ TEST(FillLevelBuckets, MatchesTheSolverAndTouchesNoFaultSite) {
   // Both sites would fire on their first hit; the fill must hit neither.
   faultsim::ScopedFaultInjector scoped(
       *faultsim::parse_fault_plan("seed=1;host-alloc:nth=1;dp-cell:nth=1"));
-  for (const int threads : {1, 2}) {
-    const DpResult filled = fill_level_buckets(p, configs, threads);
-    EXPECT_EQ(filled.table, expected.table) << threads << " threads";
+  for (const DpResult& filled :
+       {fill_level_buckets(p, configs, 1), fill_level_buckets(p, configs, 2),
+        fill_row_major(p, configs), fill_by_level(p, configs, 2)}) {
+    EXPECT_EQ(filled.table, expected.table);
     EXPECT_EQ(filled.opt, expected.opt);
     EXPECT_EQ(filled.config_count, expected.config_count);
   }

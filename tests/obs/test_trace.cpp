@@ -106,6 +106,9 @@ TEST(Trace, SimClockGuardRestoresPrevious) {
     recorder.instant("inner");
   }
   recorder.instant("outer");
+  // The clock is per thread, not per recorder: leave none installed for the
+  // tests that run after this one in the same process.
+  recorder.set_sim_clock(nullptr);
   const auto events = recorder.snapshot();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].sim_ps, 2);
